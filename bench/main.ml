@@ -96,19 +96,22 @@ let bench_consensus n () =
     (Run.consensus_once ~algo:(Run.Ads Bprc_core.Ads89.Shared_walk)
        ~pattern:Run.Random_inputs ~n ~seed:5 ())
 
+module Reg_lin =
+  Bprc_registers.Lin.Make ((val Bprc_registers.Specs.register ~init:0))
+
 let bench_linearize () =
   let ops =
-    List.init 12 (fun k ->
+    Array.init 12 (fun k ->
         {
-          Bprc_registers.History.pid = k mod 3;
+          Bprc_registers.Hist.pid = k mod 3;
           start_time = 2 * k;
           finish_time = (2 * k) + 3;
-          kind =
-            (if k mod 2 = 0 then Bprc_registers.History.W (k / 2)
-             else Bprc_registers.History.R (k / 2));
+          op =
+            (if k mod 2 = 0 then Bprc_registers.Specs.Write (k / 2)
+             else Bprc_registers.Specs.Read (k / 2));
         })
   in
-  fun () -> ignore (Bprc_registers.Linearize.atomic ~init:0 ops)
+  fun () -> ignore (Reg_lin.linearizable ops)
 
 let micro () =
   let open Bechamel in

@@ -103,10 +103,10 @@ let run_cmd =
     Fmt.pr "algorithm : %s@." (Bprc_harness.Run.algo_name algo);
     Fmt.pr "scheduler : %s@." (Bprc_harness.Run.sched_name sched);
     Fmt.pr "inputs    : %a@."
-      Fmt.(array ~sep:sp (fmt "%b"))
+      Fmt.(array ~sep:(any " ") (fmt "%b"))
       inputs;
     Fmt.pr "decisions : %a@."
-      Fmt.(array ~sep:sp (option ~none:(any "?") (fmt "%b")))
+      Fmt.(array ~sep:(any " ") (option ~none:(any "?") (fmt "%b")))
       r.Bprc_harness.Run.decisions;
     Fmt.pr "steps     : %d   rounds: %d   walk steps: %d@."
       r.Bprc_harness.Run.steps r.Bprc_harness.Run.max_round
@@ -210,7 +210,7 @@ let coin_cmd =
   in
   let action n seed delta sched =
     let r = Bprc_harness.Run.coin_once ~delta ~sched ~n ~seed () in
-    Fmt.pr "values     : %a@." Fmt.(list ~sep:sp (fmt "%b")) r.Bprc_harness.Run.values;
+    Fmt.pr "values     : %a@." Fmt.(list ~sep:(any " ") (fmt "%b")) r.Bprc_harness.Run.values;
     Fmt.pr "agreed     : %b@." r.Bprc_harness.Run.agreed;
     Fmt.pr "walk steps : %d   overflows: %d@." r.Bprc_harness.Run.walk_steps
       r.Bprc_harness.Run.overflows
@@ -339,9 +339,9 @@ let multi_cmd =
     | Bprc_runtime.Sim.Hit_step_limit ->
       Fmt.epr "step limit hit@.";
       exit 1);
-    Fmt.pr "inputs    : %a@." Fmt.(array ~sep:sp int) inputs;
+    Fmt.pr "inputs    : %a@." Fmt.(array ~sep:(any " ") int) inputs;
     Fmt.pr "decisions : %a@."
-      Fmt.(array ~sep:sp (option ~none:(any "?") int))
+      Fmt.(array ~sep:(any " ") (option ~none:(any "?") int))
       (Array.map Bprc_runtime.Sim.result handles)
   in
   Cmd.v
@@ -535,20 +535,18 @@ let hunt_cmd =
         ];
       exit exit_budget
     | Bprc_faults.Hunt.Found f ->
-      let s = f.Bprc_faults.Hunt.shrunk in
-      Bprc_faults.Script.save ~path:out s;
+      let orig = f.Bprc_faults.Hunt.script and s = f.Bprc_faults.Hunt.shrunk in
+      Bprc_faults.Counterexample.save ~path:out s;
       if not json then begin
+        let plan = Bprc_faults.Counterexample.plan in
         Fmt.pr "hunt: FAILURE at trial %d: %s@." f.Bprc_faults.Hunt.trial
-          f.Bprc_faults.Hunt.script.Bprc_faults.Script.failure;
-        Fmt.pr "  plan    : %a@." Bprc_faults.Fault_plan.pp
-          s.Bprc_faults.Script.plan;
+          orig.failure;
+        Fmt.pr "  plan    : %a@." Bprc_faults.Fault_plan.pp (plan s);
         Fmt.pr "  shrunk  : %d->%d faults, %d->%d choices, %d->%d flips@."
-          (List.length f.Bprc_faults.Hunt.script.Bprc_faults.Script.plan)
-          (List.length s.Bprc_faults.Script.plan)
-          (List.length f.Bprc_faults.Hunt.script.Bprc_faults.Script.choices)
-          (List.length s.Bprc_faults.Script.choices)
-          (List.length f.Bprc_faults.Hunt.script.Bprc_faults.Script.flips)
-          (List.length s.Bprc_faults.Script.flips);
+          (List.length (plan orig))
+          (List.length (plan s))
+          (List.length orig.choices) (List.length s.choices)
+          (List.length orig.flips) (List.length s.flips);
         Fmt.pr "  replay  : %s@."
           (if f.Bprc_faults.Hunt.replay_verified then "bit-identical"
            else "NOT bit-identical (bug in the recorder?)");
@@ -559,7 +557,7 @@ let hunt_cmd =
         [
           ("outcome", Bprc_util.Json.Str "failure");
           ("trial", Bprc_util.Json.Int f.Bprc_faults.Hunt.trial);
-          ("failure", Bprc_util.Json.Str s.Bprc_faults.Script.failure);
+          ("failure", Bprc_util.Json.Str s.failure);
           ("script", Bprc_util.Json.Str out);
           ( "replay_verified",
             Bprc_util.Json.Bool f.Bprc_faults.Hunt.replay_verified );
@@ -579,12 +577,50 @@ let hunt_cmd =
 
 (* --- replay ----------------------------------------------------------- *)
 
+(* Re-execute a counterexample under the registry it names: a hunt
+   scenario, or a check configuration at the step bound it was explored
+   under. *)
+let replay_counterexample (c : Bprc_faults.Counterexample.t) =
+  match c.registry with
+  | Bprc_faults.Counterexample.Hunt _ ->
+    Option.map
+      (fun scenario ->
+        let r = Bprc_faults.Hunt.replay_script ~scenario c in
+        let outcome =
+          match r.Bprc_faults.Scenario.failure with
+          | Some f -> `Reproduced f
+          | None -> `Clean
+        in
+        (outcome, r.Bprc_faults.Scenario.clock))
+      (Bprc_faults.Scenario.find c.name)
+  | Bprc_faults.Counterexample.Check { max_steps } ->
+    Option.map
+      (fun cfg ->
+        let outcome, clock =
+          Bprc_check.Config.replay ~max_steps cfg
+            {
+              Bprc_check.Explorer.choices = c.choices;
+              flips = c.flips;
+              failure = c.failure;
+              clock = c.clock;
+            }
+        in
+        let outcome =
+          match outcome with
+          | Bprc_check.Explorer.Fail f -> `Reproduced f
+          | Bprc_check.Explorer.Pass -> `Clean
+          | Bprc_check.Explorer.Cutoff -> `Cutoff
+        in
+        (outcome, clock))
+      (Bprc_check.Config.find c.name)
+
 let replay_cmd =
   let file_arg =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"SCRIPT" ~doc:"Hunt script (JSON) to re-execute.")
+      & info [] ~docv:"FILE"
+          ~doc:"Counterexample (JSON, written by hunt or check) to re-execute.")
   in
   let json_arg =
     Arg.(
@@ -593,49 +629,50 @@ let replay_cmd =
           ~doc:"Emit a machine-readable JSON summary on stdout.")
   in
   let action file json =
-    match Bprc_faults.Script.load ~path:file with
+    match Bprc_faults.Counterexample.load ~path:file with
     | Error e ->
       Fmt.epr "replay: %s@." e;
       exit 2
-    | Ok s -> (
-      match Bprc_faults.Scenario.find s.Bprc_faults.Script.scenario with
+    | Ok c -> (
+      (* Hunt counterexamples name a scenario, check ones a config. *)
+      let label =
+        match c.registry with
+        | Bprc_faults.Counterexample.Hunt _ -> "scenario"
+        | Bprc_faults.Counterexample.Check _ -> "config"
+      in
+      match replay_counterexample c with
       | None ->
-        Fmt.epr "replay: script names unknown scenario %S@."
-          s.Bprc_faults.Script.scenario;
+        Fmt.epr "replay: %s registry has no %s %S@."
+          (Bprc_faults.Counterexample.registry_name c.registry)
+          label c.name;
         exit 2
-      | Some scenario ->
-        let r = Bprc_faults.Hunt.replay_script ~scenario s in
-        let bit_identical =
-          r.Bprc_faults.Scenario.clock = s.Bprc_faults.Script.clock
-          && Some s.Bprc_faults.Script.failure = r.Bprc_faults.Scenario.failure
-        in
+      | Some (outcome, clock) ->
         let summary outcome fields =
           if json then
             print_endline
               (Bprc_util.Json.to_string
                  (Bprc_util.Json.Obj
-                    (("scenario",
-                      Bprc_util.Json.Str s.Bprc_faults.Script.scenario)
+                    ((label, Bprc_util.Json.Str c.name)
                      :: ("script", Bprc_util.Json.Str file)
                      :: ("outcome", Bprc_util.Json.Str outcome)
-                     :: ("clock",
-                         Bprc_util.Json.Int r.Bprc_faults.Scenario.clock)
+                     :: ("clock", Bprc_util.Json.Int clock)
                      :: fields)))
         in
         if not json then begin
-          Fmt.pr "scenario : %s  (n=%d seed=%d)@."
-            s.Bprc_faults.Script.scenario s.Bprc_faults.Script.n
-            s.Bprc_faults.Script.seed;
-          Fmt.pr "plan     : %a@." Bprc_faults.Fault_plan.pp
-            s.Bprc_faults.Script.plan
+          match c.registry with
+          | Bprc_faults.Counterexample.Hunt { seed; plan; _ } ->
+            Fmt.pr "scenario : %s  (n=%d seed=%d)@." c.name c.n seed;
+            Fmt.pr "plan     : %a@." Bprc_faults.Fault_plan.pp plan
+          | Bprc_faults.Counterexample.Check { max_steps } ->
+            Fmt.pr "config   : %s  (n=%d max_steps=%d)@." c.name c.n max_steps
         end;
-        (match r.Bprc_faults.Scenario.failure with
-        | Some f ->
+        (match outcome with
+        | `Reproduced f ->
+          let bit_identical = clock = c.clock && f = c.failure in
           if not json then begin
             Fmt.pr "failure  : %s@." f;
-            Fmt.pr "expected : %s@." s.Bprc_faults.Script.failure;
-            Fmt.pr "clock    : %d (script: %d)%s@."
-              r.Bprc_faults.Scenario.clock s.Bprc_faults.Script.clock
+            Fmt.pr "expected : %s@." c.failure;
+            Fmt.pr "clock    : %d (script: %d)%s@." clock c.clock
               (if bit_identical then "  [bit-identical]" else "")
           end;
           summary "reproduced"
@@ -644,18 +681,25 @@ let replay_cmd =
               ("bit_identical", Bprc_util.Json.Bool bit_identical);
             ];
           exit exit_violation
-        | None ->
+        | `Clean ->
           if not json then
             Fmt.pr "failure  : none reproduced (script expected: %s)@."
-              s.Bprc_faults.Script.failure;
+              c.failure;
           summary "clean" [];
-          exit exit_ok))
+          exit exit_ok
+        | `Cutoff ->
+          if not json then
+            Fmt.pr "failure  : step bound hit before completion@.";
+          summary "cutoff" [];
+          exit exit_budget))
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
-         "Re-execute a hunt counterexample script deterministically.  Exit \
-          codes: 1 when the violation reproduces, 0 when the run is clean.")
+         "Re-execute a counterexample written by $(b,hunt) or $(b,check) \
+          deterministically.  Exit codes: 1 when the violation reproduces, \
+          0 when the run is clean, 124 when a check replay hits its step \
+          bound first.")
     Term.(const action $ file_arg $ json_arg)
 
 (* --- check ------------------------------------------------------------ *)
@@ -725,79 +769,8 @@ let check_cmd =
              performance knob — reports are bit-identical at any \
              value.")
   in
-  let replay_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:
-            "Re-execute a saved check witness instead of exploring \
-             (positional $(docv) arguments are ignored).")
-  in
-  let replay_action path json =
-    match Bprc_check.Witness.load ~path with
-    | Error e ->
-      Fmt.epr "check: %s@." e;
-      exit 2
-    | Ok w -> (
-      match Bprc_check.Config.find w.Bprc_check.Witness.config with
-      | None ->
-        Fmt.epr "check: witness names unknown configuration %S@."
-          w.Bprc_check.Witness.config;
-        exit 2
-      | Some cfg ->
-        let outcome, clock =
-          Bprc_check.Config.replay ~max_steps:w.Bprc_check.Witness.max_steps
-            cfg
-            (Bprc_check.Witness.to_explorer w)
-        in
-        let summary oc fields =
-          if json then
-            print_endline
-              (Bprc_util.Json.to_string
-                 (Bprc_util.Json.Obj
-                    (("config", Bprc_util.Json.Str cfg.Bprc_check.Config.name)
-                     :: ("witness", Bprc_util.Json.Str path)
-                     :: ("outcome", Bprc_util.Json.Str oc)
-                     :: ("clock", Bprc_util.Json.Int clock)
-                     :: fields)))
-        in
-        if not json then
-          Fmt.pr "config   : %s  (n=%d)@." cfg.Bprc_check.Config.name
-            cfg.Bprc_check.Config.n;
-        (match outcome with
-        | Bprc_check.Explorer.Fail f ->
-          let bit_identical =
-            clock = w.Bprc_check.Witness.clock
-            && f = w.Bprc_check.Witness.failure
-          in
-          if not json then begin
-            Fmt.pr "failure  : %s@." f;
-            Fmt.pr "expected : %s@." w.Bprc_check.Witness.failure;
-            Fmt.pr "clock    : %d (witness: %d)%s@." clock
-              w.Bprc_check.Witness.clock
-              (if bit_identical then "  [bit-identical]" else "")
-          end;
-          summary "reproduced"
-            [
-              ("failure", Bprc_util.Json.Str f);
-              ("bit_identical", Bprc_util.Json.Bool bit_identical);
-            ];
-          exit exit_violation
-        | Bprc_check.Explorer.Pass ->
-          if not json then
-            Fmt.pr "failure  : none reproduced (witness expected: %s)@."
-              w.Bprc_check.Witness.failure;
-          summary "clean" [];
-          exit exit_ok
-        | Bprc_check.Explorer.Cutoff ->
-          if not json then
-            Fmt.pr "failure  : step bound hit before completion@.";
-          summary "cutoff" [];
-          exit exit_budget))
-  in
   let action configs list max_runs max_steps budget_s out json no_shrink
-      ladder replay_file workers =
+      ladder workers =
     if list then begin
       List.iter
         (fun c ->
@@ -806,136 +779,128 @@ let check_cmd =
         Bprc_check.Config.all;
       exit exit_ok
     end;
-    match replay_file with
-    | Some path -> replay_action path json
-    | None ->
-      let cfgs =
-        match configs with
-        | [] -> Bprc_check.Config.all
-        | names ->
-          List.map
-            (fun name ->
-              match Bprc_check.Config.find name with
-              | Some c -> c
-              | None ->
-                Fmt.epr "check: unknown configuration %S (valid: %s)@." name
-                  (String.concat ", " (Bprc_check.Config.names ()));
-                exit 2)
-            names
+    let cfgs =
+      match configs with
+      | [] -> Bprc_check.Config.all
+      | names ->
+        List.map
+          (fun name ->
+            match Bprc_check.Config.find name with
+            | Some c -> c
+            | None ->
+              Fmt.epr "check: unknown configuration %S (valid: %s)@." name
+                (String.concat ", " (Bprc_check.Config.names ()));
+              exit 2)
+          names
+    in
+    let pool = pool_of_workers workers in
+    let results =
+      (* Stop exploring further configurations at the first violation,
+         mirroring hunt's stop-at-first-failure. *)
+      let rec go acc = function
+        | [] -> List.rev acc
+        | cfg :: rest ->
+          let stats =
+            Bprc_check.Config.run ~max_runs ?max_steps ?budget_s
+              ~shrink:(not no_shrink) ?ladder ~pool cfg
+          in
+          if not json then begin
+            match stats.Bprc_check.Explorer.violation with
+            | None ->
+              Fmt.pr "check: %-16s runs=%d pruned=%d cutoff=%d %s@."
+                cfg.Bprc_check.Config.name stats.Bprc_check.Explorer.runs
+                stats.Bprc_check.Explorer.pruned
+                stats.Bprc_check.Explorer.step_limited
+                (if stats.Bprc_check.Explorer.exhausted then
+                   "exhausted: clean"
+                 else "bound hit: clean so far")
+            | Some w ->
+              Fmt.pr "check: %-16s FAILURE after %d runs: %s@."
+                cfg.Bprc_check.Config.name stats.Bprc_check.Explorer.runs
+                w.Bprc_check.Explorer.failure
+          end;
+          if stats.Bprc_check.Explorer.violation <> None then
+            List.rev ((cfg, stats) :: acc)
+          else go ((cfg, stats) :: acc) rest
       in
-      let pool = pool_of_workers workers in
-      let results =
-        (* Stop exploring further configurations at the first violation,
-           mirroring hunt's stop-at-first-failure. *)
-        let rec go acc = function
-          | [] -> List.rev acc
-          | cfg :: rest ->
-            let stats =
-              Bprc_check.Config.run ~max_runs ?max_steps ?budget_s
-                ~shrink:(not no_shrink) ?ladder ~pool cfg
-            in
-            if not json then begin
-              match stats.Bprc_check.Explorer.violation with
-              | None ->
-                Fmt.pr "check: %-16s runs=%d pruned=%d cutoff=%d %s@."
-                  cfg.Bprc_check.Config.name stats.Bprc_check.Explorer.runs
-                  stats.Bprc_check.Explorer.pruned
-                  stats.Bprc_check.Explorer.step_limited
-                  (if stats.Bprc_check.Explorer.exhausted then
-                     "exhausted: clean"
-                   else "bound hit: clean so far")
-              | Some w ->
-                Fmt.pr "check: %-16s FAILURE after %d runs: %s@."
-                  cfg.Bprc_check.Config.name stats.Bprc_check.Explorer.runs
-                  w.Bprc_check.Explorer.failure
-            end;
-            if stats.Bprc_check.Explorer.violation <> None then
-              List.rev ((cfg, stats) :: acc)
-            else go ((cfg, stats) :: acc) rest
-        in
-        go [] cfgs
+      go [] cfgs
+    in
+    let found =
+      List.find_opt
+        (fun (_, s) -> s.Bprc_check.Explorer.violation <> None)
+        results
+    in
+    (match found with
+    | Some (cfg, { Bprc_check.Explorer.violation = Some w; _ }) ->
+      Bprc_faults.Counterexample.save ~path:out
+        (Bprc_check.Config.counterexample ?max_steps cfg w);
+      if not json then begin
+        Fmt.pr "  schedule: %d choices, %d flips (ddmin-%s)@."
+          (List.length w.Bprc_check.Explorer.choices)
+          (List.length w.Bprc_check.Explorer.flips)
+          (if no_shrink then "skipped" else "minimized");
+        Fmt.pr "  witness : %s@." out;
+        Fmt.pr "  repro   : bprc replay %s@." out
+      end
+    | _ -> ());
+    let all_exhausted =
+      List.for_all
+        (fun (_, s) -> s.Bprc_check.Explorer.exhausted)
+        results
+    in
+    let outcome =
+      if found <> None then "violation"
+      else if all_exhausted then "clean"
+      else "bound_hit"
+    in
+    if json then begin
+      let config_json (cfg, s) =
+        Bprc_util.Json.Obj
+          (("name", Bprc_util.Json.Str cfg.Bprc_check.Config.name)
+           :: ("runs", Bprc_util.Json.Int s.Bprc_check.Explorer.runs)
+           :: ("pruned", Bprc_util.Json.Int s.Bprc_check.Explorer.pruned)
+           :: ("step_limited",
+               Bprc_util.Json.Int s.Bprc_check.Explorer.step_limited)
+           :: ("exhausted",
+               Bprc_util.Json.Bool s.Bprc_check.Explorer.exhausted)
+           ::
+           (match s.Bprc_check.Explorer.violation with
+           | None -> []
+           | Some w ->
+             [
+               ("failure", Bprc_util.Json.Str w.Bprc_check.Explorer.failure);
+               ("clock", Bprc_util.Json.Int w.Bprc_check.Explorer.clock);
+               ( "choices",
+                 Bprc_util.Json.Int
+                   (List.length w.Bprc_check.Explorer.choices) );
+               ( "flips",
+                 Bprc_util.Json.Int
+                   (List.length w.Bprc_check.Explorer.flips) );
+               ("witness", Bprc_util.Json.Str out);
+             ]))
       in
-      let found =
-        List.find_opt
-          (fun (_, s) -> s.Bprc_check.Explorer.violation <> None)
-          results
-      in
-      (match found with
-      | Some (cfg, { Bprc_check.Explorer.violation = Some w; _ }) ->
-        Bprc_check.Witness.save ~path:out
-          (Bprc_check.Witness.of_witness ~config:cfg.Bprc_check.Config.name
-             ~n:cfg.Bprc_check.Config.n
-             ~max_steps:
-               (Option.value max_steps
-                  ~default:cfg.Bprc_check.Config.max_steps)
-             w);
-        if not json then begin
-          Fmt.pr "  schedule: %d choices, %d flips (ddmin-%s)@."
-            (List.length w.Bprc_check.Explorer.choices)
-            (List.length w.Bprc_check.Explorer.flips)
-            (if no_shrink then "skipped" else "minimized");
-          Fmt.pr "  witness : %s@." out;
-          Fmt.pr "  repro   : bprc check --replay %s@." out
-        end
-      | _ -> ());
-      let all_exhausted =
-        List.for_all
-          (fun (_, s) -> s.Bprc_check.Explorer.exhausted)
-          results
-      in
-      let outcome =
-        if found <> None then "violation"
-        else if all_exhausted then "clean"
-        else "bound_hit"
-      in
-      if json then begin
-        let config_json (cfg, s) =
-          Bprc_util.Json.Obj
-            (("name", Bprc_util.Json.Str cfg.Bprc_check.Config.name)
-             :: ("runs", Bprc_util.Json.Int s.Bprc_check.Explorer.runs)
-             :: ("pruned", Bprc_util.Json.Int s.Bprc_check.Explorer.pruned)
-             :: ("step_limited",
-                 Bprc_util.Json.Int s.Bprc_check.Explorer.step_limited)
-             :: ("exhausted",
-                 Bprc_util.Json.Bool s.Bprc_check.Explorer.exhausted)
-             ::
-             (match s.Bprc_check.Explorer.violation with
-             | None -> []
-             | Some w ->
-               [
-                 ("failure", Bprc_util.Json.Str w.Bprc_check.Explorer.failure);
-                 ("clock", Bprc_util.Json.Int w.Bprc_check.Explorer.clock);
-                 ( "choices",
-                   Bprc_util.Json.Int
-                     (List.length w.Bprc_check.Explorer.choices) );
-                 ( "flips",
-                   Bprc_util.Json.Int
-                     (List.length w.Bprc_check.Explorer.flips) );
-                 ("witness", Bprc_util.Json.Str out);
-               ]))
-        in
-        print_endline
-          (Bprc_util.Json.to_string
-             (Bprc_util.Json.Obj
-                [
-                  ("kind", Bprc_util.Json.Str "bprc-check-report");
-                  ("version", Bprc_util.Json.Int 1);
-                  ( "workers",
-                    Bprc_util.Json.Int (Bprc_harness.Pool.workers pool) );
-                  ( "ladder",
-                    Bprc_util.Json.Int
-                      (Option.value ladder
-                         ~default:Bprc_check.Explorer.default_ladder) );
-                  ("outcome", Bprc_util.Json.Str outcome);
-                  ( "configs",
-                    Bprc_util.Json.Arr (List.map config_json results) );
-                ]))
-      end;
-      exit
-        (match outcome with
-        | "violation" -> exit_violation
-        | "clean" -> exit_ok
-        | _ -> exit_budget)
+      print_endline
+        (Bprc_util.Json.to_string
+           (Bprc_util.Json.Obj
+              [
+                ("kind", Bprc_util.Json.Str "bprc-check-report");
+                ("version", Bprc_util.Json.Int 1);
+                ( "workers",
+                  Bprc_util.Json.Int (Bprc_harness.Pool.workers pool) );
+                ( "ladder",
+                  Bprc_util.Json.Int
+                    (Option.value ladder
+                       ~default:Bprc_check.Explorer.default_ladder) );
+                ("outcome", Bprc_util.Json.Str outcome);
+                ( "configs",
+                  Bprc_util.Json.Arr (List.map config_json results) );
+              ]))
+    end;
+    exit
+      (match outcome with
+      | "violation" -> exit_violation
+      | "clean" -> exit_ok
+      | _ -> exit_budget)
   in
   Cmd.v
     (Cmd.info "check"
@@ -951,7 +916,7 @@ let check_cmd =
     Term.(
       const action $ configs_arg $ list_arg $ max_runs_arg $ max_steps_arg
       $ budget_arg $ out_arg $ json_arg $ no_shrink_arg $ ladder_arg
-      $ replay_arg $ workers_opt_arg)
+      $ workers_opt_arg)
 
 (* --- serve-bench ------------------------------------------------------- *)
 

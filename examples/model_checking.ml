@@ -15,49 +15,53 @@ open Bprc_runtime
 (* Flags-only protocol: set my flag, wait until the other's flag is
    down, enter, leave.  [polite] = true waits; false barges in. *)
 let run_protocol ~polite =
-  let deadlocks = ref 0 in
   let violations = ref 0 in
-  let runs = ref 0 in
   let stats =
-    Explore.search ~n:2 ~max_steps:60 ~max_runs:20_000
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Bprc_check.Explorer.explore ~n:2 ~max_steps:60 ~max_runs:20_000
+      ~reduction:false
+      ~setup:(fun sim ->
+        let (module R) = Sim.runtime sim in
         let flag = [| R.make_reg ~name:"flag0" false; R.make_reg ~name:"flag1" false |] in
         let in_cs = [| R.make_reg false; R.make_reg false |] in
         let both_seen = ref false in
-        let body i =
-          let j = 1 - i in
-          R.write flag.(i) true;
-          (if polite then
-             while R.read flag.(j) do
-               R.yield ()
-             done);
-          R.write in_cs.(i) true;
-          (* Critical section: observe whether the peer is also in. *)
-          if R.read in_cs.(j) then both_seen := true;
-          R.write in_cs.(i) false;
-          R.write flag.(i) false
-        in
-        let check sim =
-          incr runs;
-          if Sim.clock sim >= 60 then incr deadlocks
-          else if !both_seen then incr violations
-        in
-        (body, check))
+        for i = 0 to 1 do
+          ignore
+            (Sim.spawn sim (fun () ->
+                 let j = 1 - i in
+                 R.write flag.(i) true;
+                 (if polite then
+                    while R.read flag.(j) do
+                      R.yield ()
+                    done);
+                 R.write in_cs.(i) true;
+                 (* Critical section: observe whether the peer is also in. *)
+                 if R.read in_cs.(j) then both_seen := true;
+                 R.write in_cs.(i) false;
+                 R.write flag.(i) false))
+        done;
+        (* Counted rather than reported: a reported violation would stop
+           the exploration at the first one.  Deadlocked runs never
+           complete: the explorer counts them as cut off at [max_steps]
+           and does not check them. *)
+        fun () ->
+          if !both_seen then incr violations;
+          Ok ())
       ()
   in
-  (stats, !runs, !deadlocks, !violations)
+  let open Bprc_check.Explorer in
+  (stats, stats.runs, stats.step_limited, !violations)
 
 let () =
   Fmt.pr "model-checking the flags-only mutual exclusion protocol@.@.";
   let stats, runs, deadlocks, violations = run_protocol ~polite:true in
   Fmt.pr "polite variant  : %d schedules (%s), %d deadlocked, %d exclusion violations@."
     runs
-    (if stats.Explore.exhausted then "exhaustive" else "truncated")
+    (if stats.Bprc_check.Explorer.exhausted then "exhaustive" else "truncated")
     deadlocks violations;
   let stats', runs', deadlocks', violations' = run_protocol ~polite:false in
   Fmt.pr "barging variant : %d schedules (%s), %d deadlocked, %d exclusion violations@."
     runs'
-    (if stats'.Explore.exhausted then "exhaustive" else "truncated")
+    (if stats'.Bprc_check.Explorer.exhausted then "exhaustive" else "truncated")
     deadlocks' violations';
   Fmt.pr
     "@.the explorer exhibits both classic failures: waiting on flags alone@.\

@@ -1,8 +1,10 @@
 module Sim = Bprc_runtime.Sim
-module Runtime_intf = Bprc_runtime.Runtime_intf
 module Inject = Bprc_faults.Inject
 module Fault_plan = Bprc_faults.Fault_plan
 module Snap_checker = Bprc_snapshot.Snap_checker
+module Hist = Bprc_registers.Hist
+module Lin = Bprc_registers.Lin
+module Specs = Bprc_registers.Specs
 
 type t = {
   name : string;
@@ -14,57 +16,35 @@ type t = {
   setup : Explorer.setup;
 }
 
-module Reg_lin = Lin.Make (Specs.Register)
+module Reg_lin = Lin.Make ((val Specs.register ~init:0))
 module Cons_lin = Lin.Make (Specs.Consensus)
 
-(* ---- per-arena functor-application caches ------------------------------ *)
+(* ---- per-arena functor applications ----------------------------------- *)
 
 (* [Handshake.Make]/[Ads89.Make] are pure (all state lives under their
    [create]) but not free: each application allocates a module block
    and a closure per operation.  The explorer calls [setup] once per
-   run — hundreds of thousands of times — so the applications are
-   memoized per simulator arena, keyed on the physical identity of
-   {!Sim.runtime}'s packed module (guaranteed stable for the arena's
-   life).  Caches are domain-local: arenas migrate between explorer
-   workers, and a migrated arena simply re-applies the functor once on
-   its new domain rather than racing on a shared table.  Weakened
-   runtimes ({!Inject.weaken_runtime} with a non-empty plan) are never
-   cached — the wrapper carries per-run mutable state and is a fresh
-   module each run. *)
+   run — hundreds of thousands of times — so each arena keeps its
+   applications in a {!Sim.slot} and drops them when it is collected.
+   Only the arena's owning domain runs its setup, so a slot is never
+   shared between domains.  Weakened runtimes ({!Inject.weaken_runtime}
+   with a non-empty plan) are never kept — the wrapper carries per-run
+   mutable state and is a fresh module each run. *)
 
-let snap_cache :
-    (Obj.t * (module Bprc_snapshot.Snapshot_intf.S)) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let handshake_slot : (module Bprc_snapshot.Snapshot_intf.S) Sim.slot =
+  Sim.new_slot ()
 
-let handshake_for rt =
-  let cache = Domain.DLS.get snap_cache in
-  let key = Obj.repr rt in
-  match List.find_opt (fun (k, _) -> k == key) !cache with
-  | Some (_, m) -> m
-  | None ->
-    let m =
-      (module Bprc_snapshot.Handshake.Make ((val rt : Runtime_intf.S))
-      : Bprc_snapshot.Snapshot_intf.S)
-    in
-    cache := (key, m) :: !cache;
-    m
+let handshake_for sim =
+  Sim.slot sim handshake_slot (fun sim ->
+      (module Bprc_snapshot.Handshake.Make ((val Sim.runtime sim))
+      : Bprc_snapshot.Snapshot_intf.S))
 
-let cons_cache :
-    (Obj.t * (module Bprc_core.Consensus_intf.S)) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let ads89_slot : (module Bprc_core.Consensus_intf.S) Sim.slot = Sim.new_slot ()
 
-let ads89_for rt =
-  let cache = Domain.DLS.get cons_cache in
-  let key = Obj.repr rt in
-  match List.find_opt (fun (k, _) -> k == key) !cache with
-  | Some (_, m) -> m
-  | None ->
-    let m =
-      (module Bprc_core.Ads89.Make ((val rt : Runtime_intf.S))
-      : Bprc_core.Consensus_intf.S)
-    in
-    cache := (key, m) :: !cache;
-    m
+let ads89_for sim =
+  Sim.slot sim ads89_slot (fun sim ->
+      (module Bprc_core.Ads89.Make ((val Sim.runtime sim))
+      : Bprc_core.Consensus_intf.S))
 
 (* [linearizable] takes the events as an array ({!Lin.check_events}):
    one run-verdict costs no intermediate list, and the message — built
@@ -79,12 +59,7 @@ let lin_verdict ~name pp_op linearizable h =
          (Array.to_list events))
 
 let reg_check h () =
-  lin_verdict ~name:"register" Specs.Register.pp_op
-    (fun evs ->
-      match Reg_lin.check_events evs with
-      | Reg_lin.Linearizable _ -> true
-      | Reg_lin.Not_linearizable -> false)
-    h
+  lin_verdict ~name:"register" Specs.pp_reg_op Reg_lin.linearizable h
 
 (* Every process writes a distinct value then reads the register back. *)
 let reg_write_read ~plan sim =
@@ -143,46 +118,29 @@ let snapshot_prog ~plan ~prog =
      entry, so the functor is applied once at registry-build time
      instead of once per explored run. *)
   let module Snap_lin = Lin.Make ((val Specs.snapshot ~n ())) in
-  let snap_linearizable evs =
-    match Snap_lin.check_events evs with
-    | Snap_lin.Linearizable _ -> true
-    | Snap_lin.Not_linearizable -> false
-  in
   let weakened = plan <> [] in
   (* Per-arena checker/history scratch.  A parked checkpoint-ladder
      arena holds a partially recorded history across other runs, so one
-     scratch pair per domain is not enough — the pair is keyed on the
-     arena (its runtime module), like the functor cache above, and
-     rewound with [reset]/[clear] when the arena starts a fresh run. *)
-  let scratch :
-      (Obj.t * (Snap_checker.t * Specs.snap_op Hist.t)) list ref Domain.DLS.key
-      =
-    Domain.DLS.new_key (fun () -> ref [])
+     scratch pair per domain is not enough — the pair lives in the
+     arena, like the functor applications above, and is rewound with
+     [reset]/[clear] when the arena starts a fresh run. *)
+  let scratch : (Snap_checker.t * Specs.snap_op Hist.t) Sim.slot =
+    Sim.new_slot ()
   in
+  let make_scratch _ = (Snap_checker.create ~n ~init:0, Hist.create ()) in
   fun sim ->
-    let rt = Sim.runtime sim in
     let (module S) =
       if weakened then begin
-        let (module R) = Inject.weaken_runtime rt ~plan in
+        let (module R) = Inject.weaken_runtime (Sim.runtime sim) ~plan in
         (module Bprc_snapshot.Handshake.Make (R)
         : Bprc_snapshot.Snapshot_intf.S)
       end
-      else handshake_for rt
+      else handshake_for sim
     in
     let snap = S.create ~init:0 () in
-    let ck, h =
-      let cache = Domain.DLS.get scratch in
-      let key = Obj.repr rt in
-      match List.find_opt (fun (k, _) -> k == key) !cache with
-      | Some (_, ((ck, h) as entry)) ->
-        Snap_checker.reset ck;
-        Hist.clear h;
-        entry
-      | None ->
-        let entry = (Snap_checker.create ~n ~init:0, Hist.create ()) in
-        cache := (key, entry) :: !cache;
-        entry
-    in
+    let ck, h = Sim.slot sim scratch make_scratch in
+    Snap_checker.reset ck;
+    Hist.clear h;
     for i = 0 to n - 1 do
       ignore
         (Sim.spawn sim (fun () ->
@@ -211,7 +169,7 @@ let snapshot_prog ~plan ~prog =
       let* () = Snap_checker.check_regularity ck in
       let* () = Snap_checker.check_snapshot ck in
       let* () = Snap_checker.check_serializability ck in
-      lin_verdict ~name:"snapshot" Specs.pp_snap_op snap_linearizable h
+      lin_verdict ~name:"snapshot" Specs.pp_snap_op Snap_lin.linearizable h
 
 (* Two-process §5 consensus with split inputs; checked against the
    consensus spec (agreement + validity) both directly and as a
@@ -220,7 +178,7 @@ let snapshot_prog ~plan ~prog =
    bounded corner search, not a proof. *)
 let consensus_split sim =
   let n = 2 in
-  let (module C) = ads89_for (Sim.runtime sim) in
+  let (module C) = ads89_for sim in
   let params = { Bprc_core.Params.k = 2; delta = 1; m = Some 3 } in
   let st = C.create ~params () in
   let h : Specs.cons_op Hist.t = Hist.create () in
@@ -240,12 +198,7 @@ let consensus_split sim =
   fun () ->
     let ( let* ) = Result.bind in
     let* () = Bprc_core.Spec.check ~inputs ~decisions in
-    lin_verdict ~name:"consensus" Specs.Consensus.pp_op
-      (fun evs ->
-        match Cons_lin.check_events evs with
-        | Cons_lin.Linearizable _ -> true
-        | Cons_lin.Not_linearizable -> false)
-      h
+    lin_verdict ~name:"consensus" Specs.Consensus.pp_op Cons_lin.linearizable h
 
 let weaken semantics = [ Fault_plan.Weaken { index = -1; semantics } ]
 
@@ -325,6 +278,18 @@ let run ?max_steps ?max_runs ?budget_s ?shrink ?ladder ?pool cfg =
     ~max_steps:(Option.value max_steps ~default:cfg.max_steps)
     ?max_runs ?budget_s ~reduction:cfg.reduction ?shrink ?ladder ?pool
     ~setup:cfg.setup ()
+
+let counterexample ?max_steps cfg (w : Explorer.witness) =
+  {
+    Bprc_faults.Counterexample.registry =
+      Check { max_steps = Option.value max_steps ~default:cfg.max_steps };
+    name = cfg.name;
+    n = cfg.n;
+    choices = w.choices;
+    flips = w.flips;
+    failure = w.failure;
+    clock = w.clock;
+  }
 
 let replay ?max_steps cfg (w : Explorer.witness) =
   Explorer.replay ~n:cfg.n

@@ -44,3 +44,8 @@ val run :
     domains). *)
 
 val replay : ?max_steps:int -> t -> Explorer.witness -> Explorer.replay_outcome * int
+
+val counterexample :
+  ?max_steps:int -> t -> Explorer.witness -> Bprc_faults.Counterexample.t
+(** The witness as a saved counterexample of the check registry,
+    explored under [max_steps] (default: the configuration's own). *)

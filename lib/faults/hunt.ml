@@ -1,6 +1,6 @@
 type found = {
-  script : Script.t;
-  shrunk : Script.t;
+  script : Counterexample.t;
+  shrunk : Counterexample.t;
   trial : int;
   replay_verified : bool;
 }
@@ -21,10 +21,13 @@ let trial_inputs ~(scenario : Scenario.t) ~seed ~n i =
   let sim_seed = Bprc_rng.Splitmix.bits30 rng in
   (plan, sim_seed)
 
-let replay_script ~(scenario : Scenario.t) (s : Script.t) =
-  scenario.Scenario.exec ~n:s.Script.n ~seed:s.Script.seed ~plan:s.Script.plan
-    ~mode:
-      (Scenario.Replay { choices = s.Script.choices; flips = s.Script.flips })
+let replay_script ~(scenario : Scenario.t) (c : Counterexample.t) =
+  match c.registry with
+  | Counterexample.Hunt { seed; plan; _ } ->
+    scenario.Scenario.exec ~n:c.n ~seed ~plan
+      ~mode:(Scenario.Replay { choices = c.choices; flips = c.flips })
+  | Counterexample.Check _ ->
+    invalid_arg "Hunt.replay_script: not a hunt counterexample"
 
 let run ?budget_s ?(batch = 64) ?(map = sequential_map) ~(scenario : Scenario.t)
     ~trials ~seed ~n () =
@@ -64,11 +67,10 @@ let run ?budget_s ?(batch = 64) ?(map = sequential_map) ~(scenario : Scenario.t)
         in
         let script =
           {
-            Script.scenario = scenario.Scenario.name;
+            Counterexample.registry =
+              Counterexample.Hunt { seed = sim_seed; trial = i; plan };
+            name = scenario.Scenario.name;
             n;
-            seed = sim_seed;
-            trial = i;
-            plan;
             choices = r.Scenario.choices;
             flips = r.Scenario.flips;
             failure;

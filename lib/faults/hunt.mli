@@ -14,8 +14,8 @@
     default runs sequentially. *)
 
 type found = {
-  script : Script.t;  (** the failing run, as recorded *)
-  shrunk : Script.t;  (** minimized; never longer, still failing *)
+  script : Counterexample.t;  (** the failing run, as recorded *)
+  shrunk : Counterexample.t;  (** minimized; never longer, still failing *)
   trial : int;
   replay_verified : bool;
       (** the captured script replayed to the identical failure string
@@ -28,8 +28,11 @@ type outcome =
   | Budget_exhausted of { trials_run : int }
       (** the wall-clock budget ran out between batches *)
 
-val replay_script : scenario:Scenario.t -> Script.t -> Scenario.exec_result
-(** Re-execute a script under its scenario (deterministic). *)
+val replay_script :
+  scenario:Scenario.t -> Counterexample.t -> Scenario.exec_result
+(** Re-execute a hunt counterexample under its scenario
+    (deterministic).  @raise Invalid_argument on a check
+    counterexample. *)
 
 val run :
   ?budget_s:float ->

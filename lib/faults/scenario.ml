@@ -184,14 +184,18 @@ let snapshot_unsafe =
 
 let abd_max_events = 400_000
 
+module Hist = Bprc_registers.Hist
+module Lin = Bprc_registers.Lin
+module Specs = Bprc_registers.Specs
+module Reg_lin = Lin.Make ((val Specs.register ~init:0))
+
 let abd_exec ~n ~seed ~plan ~mode:_ =
   (* Message-passing runs are deterministic in the seed alone; nothing
      is recorded and replay is plain re-execution. *)
   let abd = Bprc_netsim.Abd.create ~seed ~max_events:abd_max_events ~n () in
   Bprc_netsim.Abd.set_fault_hook abd (Inject.net_hook plan);
   let module R = (val Bprc_netsim.Abd.runtime abd) in
-  let hist = Bprc_registers.History.create () in
-  let ops : Bprc_registers.History.op list ref = ref [] in
+  let hist : Specs.reg_op Hist.t = Hist.create () in
   let pending :
       (int * int * int * int ref (* pid, value, start, finish (max_int = open) *))
       list
@@ -203,55 +207,37 @@ let abd_exec ~n ~seed ~plan ~mode:_ =
     (Array.init n (fun i ->
          Bprc_netsim.Abd.spawn_client abd (fun () ->
              let write v =
-               let s = Bprc_registers.History.stamp hist in
+               let s = Hist.stamp hist in
                let fin = ref max_int in
                pending := (i, v, s, fin) :: !pending;
                R.write reg v;
-               fin := Bprc_registers.History.stamp hist
+               fin := Hist.stamp hist
              in
              let read () =
-               let s = Bprc_registers.History.stamp hist in
+               let s = Hist.stamp hist in
                let v = R.read reg in
-               ops :=
-                 {
-                   Bprc_registers.History.pid = i;
-                   start_time = s;
-                   finish_time = Bprc_registers.History.stamp hist;
-                   kind = Bprc_registers.History.R v;
-                 }
-                 :: !ops
+               Hist.record hist ~pid:i ~start_time:s
+                 ~finish_time:(Hist.stamp hist) (Specs.Read v)
              in
              write (i + 1);
              read ();
              write (n + i + 1);
              read ())));
   let outcome = Bprc_netsim.Abd.run abd in
-  let horizon = Bprc_registers.History.stamp hist in
+  let horizon = Hist.stamp hist in
   (* A write interrupted by a crash/lost ack may still have reached
      replicas; treating it as completing at the horizon keeps its value
      legal for reads without forcing it before any particular one. *)
   List.iter
     (fun (pid, v, s, fin) ->
-      ops :=
-        {
-          Bprc_registers.History.pid;
-          start_time = s;
-          finish_time = (if !fin = max_int then horizon else !fin);
-          kind = Bprc_registers.History.W v;
-        }
-        :: !ops)
+      Hist.record hist ~pid ~start_time:s
+        ~finish_time:(if !fin = max_int then horizon else !fin)
+        (Specs.Write v))
     !pending;
-  let history =
-    List.sort
-      (fun a b ->
-        compare a.Bprc_registers.History.start_time
-          b.Bprc_registers.History.start_time)
-      !ops
-  in
   let failure =
     if
-      List.length history <= 61
-      && not (Bprc_registers.Linearize.atomic ~init:0 history)
+      Hist.length hist <= Lin.max_events
+      && not (Reg_lin.linearizable (Hist.events_array hist))
     then Some "abd: register history is not linearizable"
     else begin
       match outcome with

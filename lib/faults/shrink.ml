@@ -71,25 +71,31 @@ let shrink_sequence ~test l =
   let l = shrink_prefix ~test l in
   if List.length l <= ddmin_cap then ddmin ~test l else l
 
-let script ~(scenario : Scenario.t) (s : Script.t) =
-  let exec plan choices flips =
-    scenario.Scenario.exec ~n:s.Script.n ~seed:s.Script.seed ~plan
-      ~mode:(Scenario.Replay { choices; flips })
-  in
-  let fails plan choices flips = (exec plan choices flips).Scenario.failure <> None in
-  let plan =
-    ddmin ~test:(fun p -> fails p s.Script.choices s.Script.flips) s.Script.plan
-  in
-  let choices =
-    shrink_sequence ~test:(fun c -> fails plan c s.Script.flips) s.Script.choices
-  in
-  let flips = shrink_sequence ~test:(fun f -> fails plan choices f) s.Script.flips in
-  let r = exec plan choices flips in
-  {
-    s with
-    Script.plan;
-    choices;
-    flips;
-    failure = Option.value r.Scenario.failure ~default:s.Script.failure;
-    clock = r.Scenario.clock;
-  }
+let script ~(scenario : Scenario.t) (c : Counterexample.t) =
+  match c.registry with
+  | Counterexample.Check _ ->
+    invalid_arg "Shrink.script: not a hunt counterexample"
+  | Counterexample.Hunt h ->
+    let exec plan choices flips =
+      scenario.Scenario.exec ~n:c.n ~seed:h.seed ~plan
+        ~mode:(Scenario.Replay { choices; flips })
+    in
+    let fails plan choices flips =
+      (exec plan choices flips).Scenario.failure <> None
+    in
+    let plan = ddmin ~test:(fun p -> fails p c.choices c.flips) h.plan in
+    let choices =
+      shrink_sequence ~test:(fun ch -> fails plan ch c.flips) c.choices
+    in
+    let flips =
+      shrink_sequence ~test:(fun f -> fails plan choices f) c.flips
+    in
+    let r = exec plan choices flips in
+    {
+      c with
+      registry = Counterexample.Hunt { h with plan };
+      choices;
+      flips;
+      failure = Option.value r.Scenario.failure ~default:c.failure;
+      clock = r.Scenario.clock;
+    }

@@ -7,7 +7,7 @@
     full deterministic replay, so nothing "probably still failing" is
     ever kept.
 
-    {!script} minimizes a hunt script in three passes — fault plan,
+    {!script} minimizes a hunt counterexample in three passes — fault plan,
     then adversary choices, then coin flips — each pass holding the
     others fixed.  Choice/flip sequences are first shortened by prefix
     halving (a dropped suffix falls back to the replayer's
@@ -22,6 +22,7 @@ val ddmin : test:('a list -> bool) -> 'a list -> 'a list
 (** Precondition: [test input = true] (otherwise the input is returned
     unchanged, except that [test [] = true] yields [[]]). *)
 
-val script : scenario:Scenario.t -> Script.t -> Script.t
-(** Precondition: the script replays to a failure under [scenario]
-    (hunt verifies this before shrinking). *)
+val script : scenario:Scenario.t -> Counterexample.t -> Counterexample.t
+(** Precondition: the counterexample replays to a failure under
+    [scenario] (hunt verifies this before shrinking).
+    @raise Invalid_argument on a check counterexample. *)

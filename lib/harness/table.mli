@@ -24,7 +24,7 @@ val to_csv : t -> string
 
     The shared {!Bprc_util.Json} document type, re-exported with its
     constructors; used by {!Report} for the [BENCH_*.json]
-    perf-trajectory files and by [Bprc_faults] for hunt scripts. *)
+    perf-trajectory files and by [Bprc_faults] for counterexample files. *)
 
 type json = Bprc_util.Json.t =
   | Null

@@ -69,6 +69,26 @@ let check_kont_shape st (payload : Obj.t) =
       (Printf.sprintf
          "Sim.step_pid: kont payload shape does not match status tag %d" st)
 
+(* Per-arena typed slots.  Each [new_slot] adds its own constructor to
+   this extensible variant, so a slot's value comes back out by pattern
+   matching on that constructor instead of through a cast. *)
+type binding = ..
+
+type 'a slot = { id : int; inj : 'a -> binding; prj : binding -> 'a }
+
+let slot_ids = Atomic.make 0
+
+let new_slot (type a) () : a slot =
+  let module M = struct
+    type binding += B of a
+  end in
+  {
+    id = Atomic.fetch_and_add slot_ids 1;
+    inj = (fun v -> M.B v);
+    (* [prj] only ever sees the binding stored under this slot's id. *)
+    prj = (function M.B v -> v | _ -> assert false);
+  }
+
 type t = {
   n : int;
   procs : proc array;
@@ -106,11 +126,9 @@ type t = {
          scratch buffers, ctx record and effect continuations are
          single-domain state, so [step]/[run] refuse to drive the arena
          from anywhere else *)
-  mutable rt : Obj.t;
-      (* memoized [runtime] module ([kont_none] until first use): the
-         module closes over [t] only and stays valid across [reset], so
-         per-run callers (the explorer's setup closures) get the same
-         physical module instead of twelve fresh closures per run *)
+  mutable slots : (int * binding) list;
+      (* [slot] values by slot id; they live as long as the arena and
+         survive [reset] *)
 }
 
 type 'a handle = { cell : 'a option ref }
@@ -188,7 +206,7 @@ let create ?(seed = 0) ?(max_steps = 10_000_000) ?(record_trace = false)
     max_stall = 0;
     validate = debug;
     owner = self_id ();
-    rt = kont_none;
+    slots = [];
   }
 
 let reset ?seed ?adversary t =
@@ -510,15 +528,20 @@ let make_runtime (t : t) : (module Runtime_intf.S) =
       record_access t t.current (-1) "" access_yield Trace.Step
   end : Runtime_intf.S)
 
+(* Top-level rather than a local closure: a lookup that hits allocates
+   nothing. *)
+let rec find_slot t s make = function
+  | (id, b) :: rest -> if id = s.id then s.prj b else find_slot t s make rest
+  | [] ->
+    let v = make t in
+    t.slots <- (s.id, s.inj v) :: t.slots;
+    v
+
+let slot t s make = find_slot t s make t.slots
+
 (* The module is pure closure state over [t] and the mli promises it
-   stays valid across [reset], so it is built once per arena and cached.
-   The cache slot shares [kont_none] as its "absent" sentinel; a packed
-   first-class module is a block, so the physical-equality test is
-   unambiguous. *)
-let runtime (t : t) : (module Runtime_intf.S) =
-  if t.rt != kont_none then (Obj.obj t.rt : (module Runtime_intf.S))
-  else begin
-    let m = make_runtime t in
-    t.rt <- Obj.repr m;
-    m
-  end
+   stays valid across [reset], so it is built once per arena: per-run
+   callers (the explorer's setup closures) get the same physical module
+   instead of twelve fresh closures per run. *)
+let runtime_slot : (module Runtime_intf.S) slot = new_slot ()
+let runtime t = slot t runtime_slot make_runtime

@@ -67,9 +67,23 @@ val runtime : t -> (module Runtime_intf.S)
 (** The shared-memory interface bound to this simulator instance.
     Registers made from it belong to this instance only.  The module
     stays valid across {!reset}; registers must be re-made.  The same
-    physical module is returned on every call (it is memoized on the
-    arena), so per-run callers may key functor-application caches on
-    it. *)
+    physical module is returned on every call (it is kept in a
+    {!slot}). *)
+
+type 'a slot
+(** A typed key for per-arena state.  One key, made once, names a value
+    of type ['a] in every arena.  Layers above the simulator keep state
+    that must live exactly as long as an arena in a slot — the
+    explorer's functor applications and checker scratch, for instance —
+    so it is freed with the arena rather than pinned by a global
+    table. *)
+
+val new_slot : unit -> 'a slot
+
+val slot : t -> 'a slot -> (t -> 'a) -> 'a
+(** [slot t s make] is [t]'s value under [s], made by [make t] on first
+    use.  It survives {!reset}: a value that holds per-run state must
+    be rewound by its user. *)
 
 val adopt : t -> unit
 (** Make the calling domain the arena's owner {e without} resetting it.

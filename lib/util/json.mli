@@ -2,8 +2,8 @@
     dependency).
 
     Used by {!Bprc_harness.Table}/[Report] for the bench-report files
-    and by [Bprc_faults.Script] for counterexample scripts, which must
-    round-trip through disk bit-identically. *)
+    and by [Bprc_faults.Counterexample] for counterexample files, which
+    must round-trip through disk bit-identically. *)
 
 type t =
   | Null

@@ -1,10 +1,11 @@
+open Bprc_registers
 open Bprc_check
 
 (* ------------------------------------------------------------------ *)
 (* Wing–Gong checker unit tests                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Reg_lin = Lin.Make (Specs.Register)
+module Reg_lin = Lin.Make ((val Specs.register ~init:0))
 module Cons_lin = Lin.Make (Specs.Consensus)
 
 let ev pid s f op = { Hist.pid; start_time = s; finish_time = f; op }
@@ -260,17 +261,65 @@ let test_shrink_shrinks () =
   | _ -> Alcotest.fail "violation missing"
 
 let test_witness_json_roundtrip () =
-  let _, w = find_violation "reg-safe" in
-  let saved =
-    Witness.of_witness ~config:"reg-safe" ~n:2 ~max_steps:64 w
-  in
-  match Witness.of_string (Witness.to_string saved) with
+  let cfg, w = find_violation "reg-safe" in
+  let module C = Bprc_faults.Counterexample in
+  let saved = Config.counterexample cfg w in
+  match C.of_string (C.to_string saved) with
   | Error e -> Alcotest.failf "roundtrip failed: %s" e
-  | Ok w' ->
-    Alcotest.(check bool) "roundtrip preserves witness" true (saved = w');
-    let back = Witness.to_explorer w' in
-    Alcotest.(check (list int)) "choices preserved" w.Explorer.choices
-      back.Explorer.choices
+  | Ok c ->
+    Alcotest.(check bool) "roundtrip preserves witness" true (saved = c);
+    Alcotest.(check string) "names its registry" "check"
+      (C.registry_name c.registry);
+    (* The reloaded schedule still reproduces the violation. *)
+    (match
+       Config.replay cfg
+         { w with Explorer.choices = c.choices; flips = c.flips }
+     with
+    | Explorer.Fail f, clock ->
+      Alcotest.(check string) "same failure" w.failure f;
+      Alcotest.(check int) "same clock" w.clock clock
+    | _ -> Alcotest.fail "reloaded witness no longer fails")
+
+(* [snapshot-unsafe] names both a check configuration and a hunt
+   scenario: the counterexample's registry says which one replays it. *)
+let test_counterexample_names_registry () =
+  let cfg, w = find_violation "snapshot-unsafe" in
+  let c = Config.counterexample cfg w in
+  Alcotest.(check bool) "also a hunt scenario" true
+    (Bprc_faults.Scenario.find c.name <> None);
+  Alcotest.(check string) "written by check" "check"
+    (Bprc_faults.Counterexample.registry_name c.registry);
+  Alcotest.check_raises "not replayable as a hunt script"
+    (Invalid_argument "Hunt.replay_script: not a hunt counterexample")
+    (fun () ->
+      ignore
+        (Bprc_faults.Hunt.replay_script ~scenario:Bprc_faults.Scenario.snapshot_unsafe
+           c))
+
+(* State a configuration keeps per arena (functor applications, checker
+   scratch) lives in the arena: once the caller drops an arena it ran
+   [setup] on, a full major collection frees it. *)
+let test_setup_keeps_no_arena () =
+  let module Sim = Bprc_runtime.Sim in
+  List.iter
+    (fun name ->
+      let cfg = get_config name in
+      let arena = Stdlib.Weak.create 1 in
+      let run () =
+        let sim =
+          Sim.create ~max_steps:cfg.Config.max_steps ~n:cfg.Config.n
+            ~adversary:(Bprc_runtime.Adversary.round_robin ()) ()
+        in
+        let check = cfg.Config.setup sim in
+        ignore (Sim.run sim);
+        ignore (check ());
+        Stdlib.Weak.set arena 0 (Some sim)
+      in
+      (Sys.opaque_identity run) ();
+      Gc.full_major ();
+      Alcotest.(check bool) (name ^ ": arena collected") false
+        (Stdlib.Weak.check arena 0))
+    [ "snapshot-atomic"; "consensus-2p" ]
 
 (* ------------------------------------------------------------------ *)
 (* Property: random atomic-register histories are always linearizable  *)
@@ -337,9 +386,7 @@ let test_worker_count_invariance () =
   let witness_json cfg = function
     | None -> "none"
     | Some w ->
-      Witness.to_string
-        (Witness.of_witness ~config:cfg.Config.name ~n:cfg.Config.n
-           ~max_steps:cfg.Config.max_steps w)
+      Bprc_faults.Counterexample.to_string (Config.counterexample cfg w)
   in
   List.iter
     (fun name ->
@@ -631,6 +678,10 @@ let suite =
     Alcotest.test_case "explore: ddmin shrinks" `Quick test_shrink_shrinks;
     Alcotest.test_case "witness: json roundtrip" `Quick
       test_witness_json_roundtrip;
+    Alcotest.test_case "counterexample: names its registry" `Quick
+      test_counterexample_names_registry;
+    Alcotest.test_case "config: setup keeps no arena alive" `Quick
+      test_setup_keeps_no_arena;
     Alcotest.test_case "lin: random atomic histories" `Quick
       test_random_histories_linearizable;
     Alcotest.test_case "explore: consensus corner search" `Quick

@@ -364,25 +364,35 @@ let test_consensus_explored_schedules () =
   let params = { Params.default with Params.m = Some 40 } in
   let runs_checked = ref 0 in
   let stats =
-    Explore.search ~n:2 ~max_steps:1500 ~max_runs:1500
-      ~setup:(fun (module R : Runtime_intf.S) ->
-        let module C = Ads89.Make ((val (module R : Runtime_intf.S))) in
+    Bprc_check.Explorer.explore ~n:2 ~max_steps:1500 ~max_runs:1500
+      ~reduction:false
+      ~setup:(fun sim ->
+        let module C = Ads89.Make ((val Sim.runtime sim)) in
         let t = C.create ~params () in
         let inputs = [| true; false |] in
         let decisions = [| None; None |] in
-        let body i = decisions.(i) <- Some (C.run t ~input:inputs.(i)) in
-        let check sim =
-          if Sim.clock sim < 1500 then begin
-            incr runs_checked;
-            Spec.check_exn ~inputs ~decisions;
-            if Array.exists (fun d -> d = None) decisions then
-              failwith "explored run completed without decisions"
-          end
-        in
-        (body, check))
+        for i = 0 to 1 do
+          ignore
+            (Sim.spawn sim (fun () ->
+                 decisions.(i) <- Some (C.run t ~input:inputs.(i))))
+        done;
+        (* Only completed runs are checked; cut-off ones are counted in
+           [step_limited]. *)
+        fun () ->
+          incr runs_checked;
+          match Spec.check ~inputs ~decisions with
+          | Error _ as e -> e
+          | Ok () ->
+            if Array.exists Option.is_none decisions then
+              Error "explored run completed without decisions"
+            else Ok ())
       ()
   in
-  Alcotest.(check bool) "explored many runs" true (stats.Explore.runs >= 1500);
+  Alcotest.(check (option string)) "no violation" None
+    (Option.map
+       (fun (w : Bprc_check.Explorer.witness) -> w.failure)
+       stats.violation);
+  Alcotest.(check bool) "explored many runs" true (stats.runs >= 1500);
   Alcotest.(check bool) "checked complete runs" true (!runs_checked > 0)
 
 (* --- Multicore soak --------------------------------------------------- *)

@@ -1,7 +1,7 @@
 open Bprc_faults
 
 (* ------------------------------------------------------------------ *)
-(* Fault plans and scripts: JSON round-trips                           *)
+(* Fault plans and counterexamples: JSON round-trips                          *)
 (* ------------------------------------------------------------------ *)
 
 let all_kinds_plan : Fault_plan.t =
@@ -54,13 +54,12 @@ let test_weaken_target () =
   Alcotest.(check bool) "delay alone is not" false
     (Fault_plan.liveness_threatening [ Fault_plan.Delay { nth = 1; by = 2 } ])
 
-let sample_script : Script.t =
+let sample_script : Counterexample.t =
   {
-    Script.scenario = "snapshot-unsafe";
+    Counterexample.registry =
+      Counterexample.Hunt { seed = 123456789; trial = 42; plan = all_kinds_plan };
+    name = "snapshot-unsafe";
     n = 4;
-    seed = 123456789;
-    trial = 42;
-    plan = all_kinds_plan;
     choices = [ 0; 2; 1; 1; 0 ];
     flips = [ true; false; true ];
     failure = "snapshot: P1: scan returned stale value";
@@ -68,7 +67,7 @@ let sample_script : Script.t =
   }
 
 let test_script_roundtrip () =
-  match Script.of_string (Script.to_string sample_script) with
+  match Counterexample.of_string (Counterexample.to_string sample_script) with
   | Ok s ->
     Alcotest.(check bool) "script round-trips" true (s = sample_script)
   | Error e -> Alcotest.failf "script decode failed: %s" e
@@ -78,18 +77,23 @@ let test_script_save_load () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Script.save ~path sample_script;
-      match Script.load ~path with
+      Counterexample.save ~path sample_script;
+      match Counterexample.load ~path with
       | Ok s -> Alcotest.(check bool) "save/load identity" true (s = sample_script)
       | Error e -> Alcotest.failf "load failed: %s" e);
-  match Script.load ~path:"/nonexistent/bprc-script.json" with
+  match Counterexample.load ~path:"/nonexistent/bprc-script.json" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loading a missing file must return Error"
 
 let test_script_rejects_wrong_kind () =
-  match Script.of_string {|{"kind":"something-else","version":1}|} with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "wrong kind discriminator must be rejected"
+  let rejects what json =
+    match Counterexample.of_string json with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s must be rejected" what
+  in
+  rejects "wrong kind discriminator" {|{"kind":"something-else","version":1}|};
+  rejects "unknown registry"
+    {|{"kind":"bprc-counterexample","version":1,"registry":"elsewhere","name":"x","n":2,"choices":[],"flips":[],"failure":"f","clock":0}|}
 
 (* ------------------------------------------------------------------ *)
 (* ddmin                                                               *)
@@ -192,24 +196,27 @@ let test_hunt_finds_injected_bug () =
   | Hunt.Found f ->
     Alcotest.(check bool) "replay bit-identical" true f.Hunt.replay_verified;
     let orig = f.Hunt.script and small = f.Hunt.shrunk in
+    let plan = Counterexample.plan in
+    Alcotest.(check string) "names its registry" "hunt"
+      (Counterexample.registry_name small.registry);
     Alcotest.(check bool) "plan not longer" true
-      (List.length small.Script.plan <= List.length orig.Script.plan);
+      (List.length (plan small) <= List.length (plan orig));
     Alcotest.(check bool) "choices not longer" true
-      (List.length small.Script.choices <= List.length orig.Script.choices);
+      (List.length small.choices <= List.length orig.choices);
     Alcotest.(check bool) "flips not longer" true
-      (List.length small.Script.flips <= List.length orig.Script.flips);
+      (List.length small.flips <= List.length orig.flips);
     (* The shrunk plan must retain the weakening — it IS the bug. *)
     Alcotest.(check bool) "shrunk plan keeps the weakening" true
-      (Fault_plan.weaken_target small.Script.plan ~index:0 <> None);
+      (Fault_plan.weaken_target (plan small) ~index:0 <> None);
     (* The shrunk script still fails, exactly as it says on the tin. *)
     let r = Hunt.replay_script ~scenario:Scenario.snapshot_unsafe small in
     Alcotest.(check (option string))
       "shrunk script reproduces its recorded failure"
-      (Some small.Script.failure) r.Scenario.failure;
+      (Some small.failure) r.Scenario.failure;
     Alcotest.(check int) "shrunk script reproduces its recorded clock"
-      small.Script.clock r.Scenario.clock;
+      small.clock r.Scenario.clock;
     (* And it survives a serialization round-trip before replay. *)
-    match Script.of_string (Script.to_string small) with
+    match Counterexample.of_string (Counterexample.to_string small) with
     | Error e -> Alcotest.failf "shrunk script does not round-trip: %s" e
     | Ok reloaded ->
       let r' = Hunt.replay_script ~scenario:Scenario.snapshot_unsafe reloaded in
@@ -224,7 +231,7 @@ let test_hunt_worker_independent () =
     List.map
       (fun map ->
         match hunt_unsafe ~map () with
-        | Hunt.Found f -> (f.Hunt.trial, Script.to_string f.Hunt.shrunk)
+        | Hunt.Found f -> (f.Hunt.trial, Counterexample.to_string f.Hunt.shrunk)
         | _ -> Alcotest.fail "hunt missed the injected bug")
       [
         None;
@@ -263,7 +270,7 @@ let test_hunt_clean_scenarios () =
           60 trials_run
       | Hunt.Found f ->
         Alcotest.failf "%s: unexpected failure %S" scenario.Scenario.name
-          f.Hunt.script.Script.failure
+          f.Hunt.script.failure
       | Hunt.Budget_exhausted _ -> Alcotest.fail "no budget was set")
     [ Scenario.consensus; Scenario.snapshot; Scenario.abd ]
 

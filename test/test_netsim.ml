@@ -156,24 +156,13 @@ let test_abd_atomicity_histories () =
     let t = Abd.create ~seed ~n:3 () in
     let (module R) = Abd.runtime t in
     let reg = R.make_reg ~name:"x" 0 in
-    let hist = Bprc_registers.History.create () in
-    let timed pid kind f =
-      let s = Bprc_registers.History.stamp hist in
-      let r = f () in
-      Bprc_registers.History.record hist
-        {
-          Bprc_registers.History.pid;
-          start_time = s;
-          finish_time = Bprc_registers.History.stamp hist;
-          kind = kind r;
-        };
-      r
-    in
+    let hist = Bprc_registers.Hist.create () in
+    let timed = Register_oracle.timed hist in
     let _w =
       Abd.spawn_client t (fun () ->
           for v = 1 to 3 do
             timed 0
-              (fun _ -> Bprc_registers.History.W ((10 * 0) + v))
+              (fun _ -> Bprc_registers.Specs.Write ((10 * 0) + v))
               (fun () ->
                 R.write reg ((10 * 0) + v);
                 (10 * 0) + v)
@@ -184,7 +173,7 @@ let test_abd_atomicity_histories () =
       Abd.spawn_client t (fun () ->
           for v = 1 to 3 do
             timed 1
-              (fun _ -> Bprc_registers.History.W ((10 * 1) + v))
+              (fun _ -> Bprc_registers.Specs.Write ((10 * 1) + v))
               (fun () ->
                 R.write reg ((10 * 1) + v);
                 (10 * 1) + v)
@@ -196,14 +185,14 @@ let test_abd_atomicity_histories () =
           for _ = 1 to 4 do
             ignore
               (timed 2
-                 (fun v -> Bprc_registers.History.R v)
+                 (fun v -> Bprc_registers.Specs.Read v)
                  (fun () -> R.read reg))
           done)
     in
     (match Abd.run t with
     | `Completed -> ()
     | _ -> Alcotest.failf "seed %d did not complete" seed);
-    if not (Bprc_registers.Linearize.atomic ~init:0 (Bprc_registers.History.ops hist))
+    if not (Register_oracle.atomic ~init:0 (Bprc_registers.Hist.events hist))
     then Alcotest.failf "ABD atomicity violation at seed %d" seed
   done
 

@@ -1,136 +1,117 @@
 open Bprc_runtime
 open Bprc_registers
+module Explorer = Bprc_check.Explorer
 
 (* ------------------------------------------------------------------ *)
-(* Linearize checker on hand-built histories                           *)
+(* Register histories through the Lin checker                          *)
 (* ------------------------------------------------------------------ *)
 
-let op pid s f kind = { History.pid; start_time = s; finish_time = f; kind }
+let atomic = Register_oracle.atomic
+let regular = Register_oracle.regular
+let timed = Register_oracle.timed
+let op pid s f op = { Hist.pid; start_time = s; finish_time = f; op }
+let w v = Specs.Write v
+let r v = Specs.Read v
 
 let test_lin_sequential_legal () =
-  let h = [ op 0 0 1 (History.W 5); op 1 2 3 (History.R 5) ] in
-  Alcotest.(check bool) "legal" true (Linearize.atomic ~init:0 h)
+  let h = [ op 0 0 1 (w 5); op 1 2 3 (r 5) ] in
+  Alcotest.(check bool) "legal" true (atomic ~init:0 h)
 
 let test_lin_sequential_illegal () =
-  let h = [ op 0 0 1 (History.W 5); op 1 2 3 (History.R 7) ] in
-  Alcotest.(check bool) "illegal" false (Linearize.atomic ~init:0 h)
+  let h = [ op 0 0 1 (w 5); op 1 2 3 (r 7) ] in
+  Alcotest.(check bool) "illegal" false (atomic ~init:0 h)
 
 let test_lin_initial_value () =
-  Alcotest.(check bool) "read init" true
-    (Linearize.atomic ~init:9 [ op 0 0 1 (History.R 9) ]);
+  Alcotest.(check bool) "read init" true (atomic ~init:9 [ op 0 0 1 (r 9) ]);
   Alcotest.(check bool) "read wrong init" false
-    (Linearize.atomic ~init:9 [ op 0 0 1 (History.R 3) ])
+    (atomic ~init:9 [ op 0 0 1 (r 3) ])
 
 let test_lin_overlap_choice () =
   (* A read overlapping a write may return old or new. *)
-  let base = op 0 0 10 (History.W 5) in
-  Alcotest.(check bool) "new ok" true
-    (Linearize.atomic ~init:0 [ base; op 1 2 3 (History.R 5) ]);
-  Alcotest.(check bool) "old ok" true
-    (Linearize.atomic ~init:0 [ base; op 1 2 3 (History.R 0) ])
+  let base = op 0 0 10 (w 5) in
+  Alcotest.(check bool) "new ok" true (atomic ~init:0 [ base; op 1 2 3 (r 5) ]);
+  Alcotest.(check bool) "old ok" true (atomic ~init:0 [ base; op 1 2 3 (r 0) ])
 
 let test_lin_new_old_inversion () =
   (* Two sequential reads during one long write: new then old is the
      classic atomicity violation. *)
-  let h =
-    [
-      op 0 0 100 (History.W 5);
-      op 1 10 20 (History.R 5);
-      op 1 30 40 (History.R 0);
-    ]
-  in
-  Alcotest.(check bool) "inversion rejected" false (Linearize.atomic ~init:0 h);
+  let h = [ op 0 0 100 (w 5); op 1 10 20 (r 5); op 1 30 40 (r 0) ] in
+  Alcotest.(check bool) "inversion rejected" false (atomic ~init:0 h);
   (* Old then new is fine. *)
-  let h' =
-    [
-      op 0 0 100 (History.W 5);
-      op 1 10 20 (History.R 0);
-      op 1 30 40 (History.R 5);
-    ]
-  in
-  Alcotest.(check bool) "old-then-new accepted" true
-    (Linearize.atomic ~init:0 h')
+  let h' = [ op 0 0 100 (w 5); op 1 10 20 (r 0); op 1 30 40 (r 5) ] in
+  Alcotest.(check bool) "old-then-new accepted" true (atomic ~init:0 h')
 
 let test_lin_stale_read_rejected () =
   (* w(1) then w(2) complete; a later read of 1 is illegal. *)
-  let h =
-    [
-      op 0 0 1 (History.W 1);
-      op 0 2 3 (History.W 2);
-      op 1 4 5 (History.R 1);
-    ]
-  in
-  Alcotest.(check bool) "stale rejected" false (Linearize.atomic ~init:0 h)
+  let h = [ op 0 0 1 (w 1); op 0 2 3 (w 2); op 1 4 5 (r 1) ] in
+  Alcotest.(check bool) "stale rejected" false (atomic ~init:0 h)
 
 let test_lin_concurrent_writes_order_free () =
   (* Two overlapping writes; a later read may see either. *)
-  let h v =
-    [
-      op 0 0 10 (History.W 1);
-      op 1 0 10 (History.W 2);
-      op 2 11 12 (History.R v);
-    ]
-  in
-  Alcotest.(check bool) "sees 1" true (Linearize.atomic ~init:0 (h 1));
-  Alcotest.(check bool) "sees 2" true (Linearize.atomic ~init:0 (h 2));
-  Alcotest.(check bool) "sees ghost" false (Linearize.atomic ~init:0 (h 3))
+  let h v = [ op 0 0 10 (w 1); op 1 0 10 (w 2); op 2 11 12 (r v) ] in
+  Alcotest.(check bool) "sees 1" true (atomic ~init:0 (h 1));
+  Alcotest.(check bool) "sees 2" true (atomic ~init:0 (h 2));
+  Alcotest.(check bool) "sees ghost" false (atomic ~init:0 (h 3))
+
+module Reg_lin = Lin.Make ((val Specs.register ~init:0))
 
 let test_lin_witness_order () =
-  let h =
-    [ op 0 0 1 (History.W 1); op 1 2 3 (History.R 1); op 0 4 5 (History.W 2) ]
-  in
-  match Linearize.witness ~init:0 h with
-  | None -> Alcotest.fail "expected witness"
-  | Some order ->
+  let h = [ op 0 0 1 (w 1); op 1 2 3 (r 1); op 0 4 5 (w 2) ] in
+  match Reg_lin.check h with
+  | Reg_lin.Not_linearizable -> Alcotest.fail "expected witness"
+  | Reg_lin.Linearizable order ->
     Alcotest.(check int) "all ops in order" 3 (List.length order);
     (* The witness must itself replay legally. *)
     let value = ref 0 in
     List.iter
-      (fun o ->
-        match o.History.kind with
-        | History.W v -> value := v
-        | History.R v ->
-          Alcotest.(check int) "witness read legal" !value v)
+      (fun (o : Specs.reg_op Hist.event) ->
+        match o.op with
+        | Specs.Write v -> value := v
+        | Specs.Read v -> Alcotest.(check int) "witness read legal" !value v)
       order
 
 let test_lin_too_many_ops () =
-  let h = List.init 62 (fun i -> op 0 (2 * i) ((2 * i) + 1) (History.W i)) in
-  Alcotest.check_raises "cap" (Invalid_argument "Linearize: more than 61 operations")
-    (fun () -> ignore (Linearize.atomic ~init:0 h))
+  let h =
+    List.init (Lin.max_events + 1) (fun i -> op 0 (2 * i) ((2 * i) + 1) (w i))
+  in
+  Alcotest.check_raises "cap"
+    (Invalid_argument "Lin.check (register): more than 62 operations")
+    (fun () -> ignore (atomic ~init:0 h))
 
 let test_regular_checker () =
   (* Read overlapping w(5) may return 0 or 5 but not 7. *)
-  let mk v = [ op 0 0 10 (History.W 5); op 1 2 3 (History.R v) ] in
-  Alcotest.(check bool) "old" true (Linearize.regular ~init:0 (mk 0));
-  Alcotest.(check bool) "new" true (Linearize.regular ~init:0 (mk 5));
-  Alcotest.(check bool) "ghost" false (Linearize.regular ~init:0 (mk 7));
+  let mk v = [ op 0 0 10 (w 5); op 1 2 3 (r v) ] in
+  Alcotest.(check bool) "old" true (regular ~init:0 (mk 0));
+  Alcotest.(check bool) "new" true (regular ~init:0 (mk 5));
+  Alcotest.(check bool) "ghost" false (regular ~init:0 (mk 7));
   (* Regularity tolerates the new/old inversion that atomicity rejects. *)
-  let inv =
-    [
-      op 0 0 100 (History.W 5);
-      op 1 10 20 (History.R 5);
-      op 1 30 40 (History.R 0);
-    ]
-  in
-  Alcotest.(check bool) "inversion tolerated" true
-    (Linearize.regular ~init:0 inv)
+  let inv = [ op 0 0 100 (w 5); op 1 10 20 (r 5); op 1 30 40 (r 0) ] in
+  Alcotest.(check bool) "inversion tolerated" true (regular ~init:0 inv)
 
 let test_regular_overlapping_writes_rejected () =
-  let h = [ op 0 0 10 (History.W 1); op 1 5 15 (History.W 2) ] in
+  let h = [ op 0 0 10 (w 1); op 1 5 15 (w 2) ] in
   Alcotest.check_raises "overlapping writes"
-    (Invalid_argument "Linearize.regular: overlapping writes") (fun () ->
-      ignore (Linearize.regular ~init:0 h))
+    (Invalid_argument "Register_oracle.regular: overlapping writes") (fun () ->
+      ignore (regular ~init:0 h))
 
-(* ------------------------------------------------------------------ *)
-(* Helpers: run a scenario in the simulator, recording a history       *)
-(* ------------------------------------------------------------------ *)
+(* Every schedule of [n] processes, unreduced: [make rt hist] builds the
+   shared object over the arena's runtime and returns process [i]'s
+   body; [check] judges each completed run's history. *)
+let explore ~n ?max_runs ~make ~check () =
+  Explorer.explore ~n ~max_steps:400 ?max_runs ~reduction:false
+    ~setup:(fun sim ->
+      let hist = Hist.create () in
+      let body = make (Sim.runtime sim) hist in
+      for i = 0 to n - 1 do
+        ignore (Sim.spawn sim (fun () -> body i))
+      done;
+      fun () -> check (Hist.events hist))
+    ()
 
-let timed (module R : Runtime_intf.S) hist pid kind f =
-  let s = History.stamp hist in
-  let r = f () in
-  History.record hist
-    { History.pid; start_time = s; finish_time = History.stamp hist; kind = kind r };
-  r
+let exhausted_clean (stats : Explorer.stats) =
+  Alcotest.(check (option string)) "no violation" None
+    (Option.map (fun (w : Explorer.witness) -> w.failure) stats.violation);
+  Alcotest.(check bool) "exhausted" true stats.exhausted
 
 (* ------------------------------------------------------------------ *)
 (* Weak registers                                                      *)
@@ -169,14 +150,13 @@ let test_weak_regular_random_schedules () =
      history must satisfy the regular checker. *)
   for seed = 1 to 60 do
     let sim = Sim.create ~seed ~n:3 ~adversary:(Adversary.random ()) () in
-    let (module R) = Sim.runtime sim in
     let module W = Weak.Make ((val Sim.runtime sim)) in
     let reg = W.make W.Regular ~init:0 in
-    let hist = History.create () in
+    let hist = Hist.create () in
     ignore
       (Sim.spawn sim (fun () ->
            for v = 1 to 4 do
-             timed (module R) hist 0 (fun () -> History.W v) (fun () ->
+             timed hist 0 (fun () -> Specs.Write v) (fun () ->
                  W.write reg v)
            done));
     for p = 1 to 2 do
@@ -184,12 +164,12 @@ let test_weak_regular_random_schedules () =
         (Sim.spawn sim (fun () ->
              for _ = 1 to 4 do
                ignore
-                 (timed (module R) hist p (fun v -> History.R v) (fun () ->
+                 (timed hist p (fun v -> Specs.Read v) (fun () ->
                       W.read reg))
              done))
     done;
     ignore (Sim.run sim);
-    if not (Linearize.regular ~init:0 (History.ops hist)) then
+    if not (regular ~init:0 (Hist.events hist)) then
       Alcotest.failf "regular violation at seed %d" seed
   done
 
@@ -231,52 +211,47 @@ let test_regular_of_safe_exhaustive () =
   (* Writer toggles the bit twice; reader reads twice.  Exhaustively,
      every history must be regular. *)
   let stats =
-    Explore.search ~n:2 ~max_steps:400
-      ~setup:(fun (module R : Runtime_intf.S) ->
-        let module B = Regular_of_safe.Make ((val (module R : Runtime_intf.S))) in
+    explore ~n:2
+      ~make:(fun rt hist ->
+        let module B = Regular_of_safe.Make ((val rt : Runtime_intf.S)) in
         let reg = B.make ~init:false () in
-        let hist = History.create () in
-        let record pid kind f = ignore (timed (module R) hist pid kind f) in
-        let body = function
-          | 0 ->
-            record 0 (fun _ -> History.W 1) (fun () -> B.write reg true; true);
-            record 0 (fun _ -> History.W 0) (fun () -> B.write reg false; false)
-          | _ ->
-            record 1 (fun v -> History.R (Bool.to_int v)) (fun () -> B.read reg);
-            record 1 (fun v -> History.R (Bool.to_int v)) (fun () -> B.read reg)
-        in
-        let check _sim =
-          if not (Linearize.regular ~init:0 (History.ops hist)) then
-            failwith "regular_of_safe: regularity violated"
-        in
-        (body, check))
+        let record pid kind f = ignore (timed hist pid kind f) in
+        function
+        | 0 ->
+          record 0 (fun _ -> Specs.Write 1) (fun () -> B.write reg true; true);
+          record 0 (fun _ -> Specs.Write 0) (fun () -> B.write reg false; false)
+        | _ ->
+          record 1 (fun v -> Specs.Read (Bool.to_int v)) (fun () -> B.read reg);
+          record 1 (fun v -> Specs.Read (Bool.to_int v)) (fun () -> B.read reg))
+      ~check:(fun events ->
+        if regular ~init:0 events then Ok ()
+        else Error "regular_of_safe: regularity violated")
       ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted
+  exhausted_clean stats
 
 let test_kary_regular_random () =
   for seed = 1 to 40 do
     let sim = Sim.create ~seed ~n:2 ~adversary:(Adversary.random ()) () in
-    let (module R) = Sim.runtime sim in
     let module K = Unary_kary.Make ((val Sim.runtime sim)) in
     let reg = K.make ~k:5 ~init:2 () in
-    let hist = History.create () in
+    let hist = Hist.create () in
     ignore
       (Sim.spawn sim (fun () ->
            List.iter
              (fun v ->
-               timed (module R) hist 0 (fun _ -> History.W v) (fun () ->
+               timed hist 0 (fun _ -> Specs.Write v) (fun () ->
                    K.write reg v))
              [ 4; 0; 3; 1 ]));
     ignore
       (Sim.spawn sim (fun () ->
            for _ = 1 to 6 do
              ignore
-               (timed (module R) hist 1 (fun v -> History.R v) (fun () ->
+               (timed hist 1 (fun v -> Specs.Read v) (fun () ->
                     K.read reg))
            done));
     ignore (Sim.run sim);
-    if not (Linearize.regular ~init:2 (History.ops hist)) then
+    if not (regular ~init:2 (Hist.events hist)) then
       Alcotest.failf "kary regularity violation at seed %d" seed
   done
 
@@ -294,14 +269,13 @@ let test_kary_range_checks () =
 let va_scenario ~writes ~reads_per_reader seed =
   let n = 3 in
   let sim = Sim.create ~seed ~n ~adversary:(Adversary.random ()) () in
-  let (module R) = Sim.runtime sim in
   let module V = Va_swmr.Make ((val Sim.runtime sim)) in
   let reg = V.make ~readers:2 ~init:0 () in
-  let hist = History.create () in
+  let hist = Hist.create () in
   ignore
     (Sim.spawn sim (fun () ->
          for v = 1 to writes do
-           timed (module R) hist 0 (fun _ -> History.W v) (fun () ->
+           timed hist 0 (fun _ -> Specs.Write v) (fun () ->
                V.write reg v)
          done));
   for r = 0 to 1 do
@@ -309,17 +283,17 @@ let va_scenario ~writes ~reads_per_reader seed =
       (Sim.spawn sim (fun () ->
            for _ = 1 to reads_per_reader do
              ignore
-               (timed (module R) hist (r + 1) (fun v -> History.R v) (fun () ->
+               (timed hist (r + 1) (fun v -> Specs.Read v) (fun () ->
                     V.read reg ~me:r))
            done))
   done;
   ignore (Sim.run sim);
-  History.ops hist
+  Hist.events hist
 
 let test_va_atomic_random () =
   for seed = 1 to 80 do
     let ops = va_scenario ~writes:4 ~reads_per_reader:4 seed in
-    if not (Linearize.atomic ~init:0 ops) then
+    if not (atomic ~init:0 ops) then
       Alcotest.failf "VA atomicity violation at seed %d" seed
   done
 
@@ -327,30 +301,24 @@ let test_va_atomic_exhaustive () =
   (* Writer: 2 writes; two readers: 1 read each.  Full interleaving
      space, every history linearizable. *)
   let stats =
-    Explore.search ~n:3 ~max_steps:400
-      ~setup:(fun (module R : Runtime_intf.S) ->
-        let module V = Va_swmr.Make ((val (module R : Runtime_intf.S))) in
+    explore ~n:3
+      ~make:(fun rt hist ->
+        let module V = Va_swmr.Make ((val rt : Runtime_intf.S)) in
         let reg = V.make ~readers:2 ~init:0 () in
-        let hist = History.create () in
-        let body = function
-          | 0 ->
-            for v = 1 to 2 do
-              timed (module R) hist 0 (fun _ -> History.W v) (fun () ->
-                  V.write reg v)
-            done
-          | p ->
-            ignore
-              (timed (module R) hist p (fun v -> History.R v) (fun () ->
-                   V.read reg ~me:(p - 1)))
-        in
-        let check _sim =
-          if not (Linearize.atomic ~init:0 (History.ops hist)) then
-            failwith "VA: atomicity violated"
-        in
-        (body, check))
+        function
+        | 0 ->
+          for v = 1 to 2 do
+            timed hist 0 (fun _ -> Specs.Write v) (fun () -> V.write reg v)
+          done
+        | p ->
+          ignore
+            (timed hist p (fun v -> Specs.Read v) (fun () ->
+                 V.read reg ~me:(p - 1))))
+      ~check:(fun events ->
+        if atomic ~init:0 events then Ok () else Error "VA: atomicity violated")
       ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted
+  exhausted_clean stats
 
 let test_va_seq_grows () =
   let sim = Sim.create ~seed:1 ~n:1 ~adversary:(Adversary.round_robin ()) () in
@@ -375,48 +343,39 @@ let bloom_explore strategy =
   let stats =
     (* The Reread_winner reader costs one extra step, pushing the
        interleaving count to 14!/(5!5!4!) = 252252. *)
-    Explore.search ~n:3 ~max_steps:400 ~max_runs:400_000
-      ~setup:(fun (module R : Runtime_intf.S) ->
-        let module B = Bloom_2w.Make ((val (module R : Runtime_intf.S))) in
+    explore ~n:3 ~max_runs:400_000
+      ~make:(fun rt hist ->
+        let module B = Bloom_2w.Make ((val rt : Runtime_intf.S)) in
         let reg = B.make ~strategy ~init:0 () in
-        let hist = History.create () in
-        let body = function
-          | 0 ->
-            List.iter
-              (fun v ->
-                timed (module R) hist 0 (fun _ -> History.W v) (fun () ->
-                    B.write reg ~me:0 v))
-              [ 10; 30 ]
-          | 1 ->
-            List.iter
-              (fun v ->
-                timed (module R) hist 1 (fun _ -> History.W v) (fun () ->
-                    B.write reg ~me:1 v))
-              [ 5; 40 ]
-          | _ ->
-            ignore
-              (timed (module R) hist 2 (fun v -> History.R v) (fun () ->
-                   B.read reg))
+        let write me vs =
+          List.iter
+            (fun v ->
+              timed hist me (fun _ -> Specs.Write v) (fun () ->
+                  B.write reg ~me v))
+            vs
         in
-        let check _sim =
-          if not (Linearize.atomic ~init:0 (History.ops hist)) then
-            incr violations
-        in
-        (body, check))
+        function
+        | 0 -> write 0 [ 10; 30 ]
+        | 1 -> write 1 [ 5; 40 ]
+        | _ -> ignore (timed hist 2 (fun v -> Specs.Read v) (fun () -> B.read reg)))
+      ~check:(fun events ->
+        (* Counted, not reported: the explorer would stop at the first. *)
+        if not (atomic ~init:0 events) then incr violations;
+        Ok ())
       ()
   in
   (stats, !violations)
 
 let test_bloom_single_collect_not_atomic () =
   let stats, violations = bloom_explore Bloom_2w.Single_collect in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
+  exhausted_clean stats;
   Alcotest.(check bool)
     (Printf.sprintf "found violations (%d)" violations)
     true (violations > 0)
 
 let test_bloom_reread_atomic_exhaustive () =
   let stats, violations = bloom_explore Bloom_2w.Reread_winner in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
+  exhausted_clean stats;
   Alcotest.(check int) "no violations" 0 violations
 
 let test_bloom_reread_atomic_random_soak () =
@@ -424,16 +383,15 @@ let test_bloom_reread_atomic_random_soak () =
      2 readers x 3 reads. *)
   for seed = 1 to 120 do
     let sim = Sim.create ~seed ~n:4 ~adversary:(Adversary.random ()) () in
-    let (module R) = Sim.runtime sim in
     let module B = Bloom_2w.Make ((val Sim.runtime sim)) in
     let reg = B.make ~init:0 () in
-    let hist = History.create () in
+    let hist = Hist.create () in
     for w = 0 to 1 do
       ignore
         (Sim.spawn sim (fun () ->
              for k = 1 to 3 do
                let v = (10 * (w + 1)) + k in
-               timed (module R) hist w (fun _ -> History.W v) (fun () ->
+               timed hist w (fun _ -> Specs.Write v) (fun () ->
                    B.write reg ~me:w v)
              done))
     done;
@@ -442,12 +400,12 @@ let test_bloom_reread_atomic_random_soak () =
         (Sim.spawn sim (fun () ->
              for _ = 1 to 3 do
                ignore
-                 (timed (module R) hist r (fun v -> History.R v) (fun () ->
+                 (timed hist r (fun v -> Specs.Read v) (fun () ->
                       B.read reg))
              done))
     done;
     ignore (Sim.run sim);
-    if not (Linearize.atomic ~init:0 (History.ops hist)) then
+    if not (atomic ~init:0 (Hist.events hist)) then
       Alcotest.failf "Bloom/Reread violation at seed %d" seed
   done
 

@@ -306,89 +306,101 @@ let test_par_many_threads () =
 
 (* --- Explore ---------------------------------------------------------- *)
 
+(* The schedule explorer, unreduced, enumerates every interleaving and
+   every flip outcome.  [spawn sim body] starts [body i] as process
+   [i]. *)
+module Explorer = Bprc_check.Explorer
+
+let spawn sim body =
+  for i = 0 to Sim.n sim - 1 do
+    ignore (Sim.spawn sim (fun () -> body i))
+  done
+
 let test_explore_exhausts_tiny () =
   (* Two processes, one op each: the tree is tiny and must be exhausted. *)
   let stats =
-    Explore.search ~n:2
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Explorer.explore ~n:2 ~reduction:false
+      ~setup:(fun sim ->
+        let (module R) = Sim.runtime sim in
         let reg = R.make_reg 0 in
-        let body i = R.write reg i in
-        let check _sim =
+        spawn sim (fun i -> R.write reg i);
+        fun () ->
           let v = R.peek reg in
-          if v <> 0 && v <> 1 then failwith "impossible final value"
-        in
-        (body, check))
+          if v <> 0 && v <> 1 then Error "impossible final value" else Ok ())
       ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
-  Alcotest.(check bool) "explored more than one run" true (stats.Explore.runs > 1)
+  Alcotest.(check bool) "exhausted" true stats.Explorer.exhausted;
+  Alcotest.(check bool) "explored more than one run" true (stats.Explorer.runs > 1)
 
 let test_explore_finds_race () =
   (* Exploration must find the interleaving in which both processes read
      0 before either writes, i.e. final counter 1 despite 2 increments. *)
   let found_lost_update = ref false in
   let stats =
-    Explore.search ~n:2
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Explorer.explore ~n:2 ~reduction:false
+      ~setup:(fun sim ->
+        let (module R) = Sim.runtime sim in
         let reg = R.make_reg 0 in
-        let body _ =
-          let v = R.read reg in
-          R.write reg (v + 1)
-        in
-        let check _sim = if R.peek reg = 1 then found_lost_update := true in
-        (body, check))
+        spawn sim (fun _ ->
+            let v = R.read reg in
+            R.write reg (v + 1));
+        fun () ->
+          if R.peek reg = 1 then found_lost_update := true;
+          Ok ())
       ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
+  Alcotest.(check bool) "exhausted" true stats.Explorer.exhausted;
   Alcotest.(check bool) "lost update found" true !found_lost_update
 
 let test_explore_branches_on_flips () =
   (* One process, two flips: 4 leaf outcomes must all be observed. *)
   let seen = Hashtbl.create 4 in
   let stats =
-    Explore.search ~n:1
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Explorer.explore ~n:1 ~reduction:false
+      ~setup:(fun sim ->
+        let (module R) = Sim.runtime sim in
         let reg = R.make_reg (false, false) in
-        let body _ =
-          let a = R.flip () in
-          let b = R.flip () in
-          R.write reg (a, b)
-        in
-        let check _sim = Hashtbl.replace seen (R.peek reg) () in
-        (body, check))
+        spawn sim (fun _ ->
+            let a = R.flip () in
+            let b = R.flip () in
+            R.write reg (a, b));
+        fun () ->
+          Hashtbl.replace seen (R.peek reg) ();
+          Ok ())
       ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
+  Alcotest.(check bool) "exhausted" true stats.Explorer.exhausted;
   Alcotest.(check int) "all four flip outcomes" 4 (Hashtbl.length seen)
 
 let test_explore_run_count_two_writers () =
   (* Two procs, each: start + 1 write = 2 steps; schedules of the 4-step
      word with 2 a's and 2 b's = C(4,2) = 6 executions. *)
   let stats =
-    Explore.search ~n:2
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Explorer.explore ~n:2 ~reduction:false
+      ~setup:(fun sim ->
+        let (module R) = Sim.runtime sim in
         let reg = R.make_reg 0 in
-        let body i = R.write reg i in
-        (body, fun _ -> ()))
+        spawn sim (fun i -> R.write reg i);
+        fun () -> Ok ())
       ()
   in
-  Alcotest.(check int) "C(4,2) interleavings" 6 stats.Explore.runs
+  Alcotest.(check int) "C(4,2) interleavings" 6 stats.Explorer.runs
 
 let test_explore_respects_max_runs () =
   let stats =
-    Explore.search ~n:2 ~max_runs:3
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Explorer.explore ~n:2 ~max_runs:3 ~reduction:false
+      ~setup:(fun sim ->
+        let (module R) = Sim.runtime sim in
         let reg = R.make_reg 0 in
-        let body i =
-          R.write reg i;
-          R.write reg (i + 1);
-          R.write reg (i + 2)
-        in
-        (body, fun _ -> ()))
+        spawn sim (fun i ->
+            R.write reg i;
+            R.write reg (i + 1);
+            R.write reg (i + 2));
+        fun () -> Ok ())
       ()
   in
-  Alcotest.(check int) "stopped at max_runs" 3 stats.Explore.runs;
-  Alcotest.(check bool) "not exhausted" false stats.Explore.exhausted
+  Alcotest.(check int) "stopped at max_runs" 3 stats.Explorer.runs;
+  Alcotest.(check bool) "not exhausted" false stats.Explorer.exhausted
 
 let suite =
   [
@@ -683,45 +695,41 @@ let test_flip_observer () =
 
 let test_explore_counts_step_limited () =
   let stats =
-    Explore.search ~n:1 ~max_steps:3
-      ~setup:(fun (module R : Runtime_intf.S) ->
+    Explorer.explore ~n:1 ~max_steps:3 ~reduction:false
+      ~setup:(fun sim ->
+        let (module R) = Sim.runtime sim in
         let reg = R.make_reg 0 in
-        let body _ =
-          for i = 1 to 10 do
-            R.write reg i
-          done
-        in
-        (body, fun _ -> ()))
+        spawn sim (fun _ ->
+            for i = 1 to 10 do
+              R.write reg i
+            done);
+        fun () -> Ok ())
       ()
   in
-  Alcotest.(check int) "one (deterministic) run" 1 stats.Explore.runs;
-  Alcotest.(check int) "that run was cut short" 1 stats.Explore.step_limited_runs;
-  Alcotest.(check bool) "tree still exhausted" true stats.Explore.exhausted
-
-exception Violation of int
+  Alcotest.(check int) "one (deterministic) run" 1 stats.Explorer.runs;
+  Alcotest.(check int) "that run was cut short" 1 stats.Explorer.step_limited;
+  Alcotest.(check bool) "tree still exhausted" true stats.Explorer.exhausted
 
 let test_explore_propagates_violation () =
   (* Two racy increments: some interleaving loses an update, and the
-     check's exception must escape the search with its payload (the
-     final counter value) intact. *)
-  let raised =
-    try
-      ignore
-        (Explore.search ~n:2
-           ~setup:(fun (module R : Runtime_intf.S) ->
-             let reg = R.make_reg 0 in
-             let body _ =
-               let v = R.read reg in
-               R.write reg (v + 1)
-             in
-             let check _ = if R.peek reg < 2 then raise (Violation (R.peek reg)) in
-             (body, check))
-           ());
-      None
-    with Violation v -> Some v
+     check's verdict must come back as the witness's failure with its
+     evidence (the final counter value) intact. *)
+  let stats =
+    Explorer.explore ~n:2 ~reduction:false
+      ~setup:(fun sim ->
+        let (module R) = Sim.runtime sim in
+        let reg = R.make_reg 0 in
+        spawn sim (fun _ ->
+            let v = R.read reg in
+            R.write reg (v + 1));
+        fun () ->
+          if R.peek reg < 2 then Error (Printf.sprintf "lost update: %d" (R.peek reg))
+          else Ok ())
+      ()
   in
-  Alcotest.(check (option int)) "lost update reported with evidence" (Some 1)
-    raised
+  Alcotest.(check (option string)) "lost update reported with evidence"
+    (Some "lost update: 1")
+    (Option.map (fun (w : Explorer.witness) -> w.failure) stats.violation)
 
 let faults_support_suite =
   [

@@ -209,35 +209,45 @@ let test_handshake_own_component () =
         (Sim.result h))
     handles
 
-let test_handshake_exhaustive_two_procs () =
-  (* n=2, each process: one write then one scan.  Full interleaving
-     space; all three properties checked on every execution. *)
+(* n=2, each process: one write then one scan, over the full
+   interleaving space; all three properties checked on every
+   execution. *)
+let exhaustive_two_procs name snapshot_of =
   let stats =
-    Explore.search ~n:2 ~max_steps:4000 ~max_runs:400_000
-      ~setup:(fun (module R : Runtime_intf.S) ->
-        let module S = Handshake.Make ((val (module R : Runtime_intf.S))) in
+    Bprc_check.Explorer.explore ~n:2 ~max_steps:4000 ~max_runs:400_000
+      ~reduction:false
+      ~setup:(fun sim ->
+        let (module S : SNAP) = snapshot_of (Sim.runtime sim) in
         let mem = S.create ~init:0 () in
         let checker = Snap_checker.create ~n:2 ~init:0 in
-        let body p =
-          let s = Snap_checker.stamp checker in
-          S.write mem 1;
-          Snap_checker.record_write checker ~pid:p ~start_time:s
-            ~finish_time:(Snap_checker.stamp checker) ~value:1;
-          let s = Snap_checker.stamp checker in
-          let view = S.scan mem in
-          Snap_checker.record_scan checker ~pid:p ~start_time:s
-            ~finish_time:(Snap_checker.stamp checker) ~view
-        in
-        let check _sim =
-          match Snap_checker.check_all checker with
-          | Ok () -> ()
-          | Error e -> failwith ("handshake exhaustive: " ^ e)
-        in
-        (body, check))
+        for p = 0 to 1 do
+          ignore
+            (Sim.spawn sim (fun () ->
+                 let s = Snap_checker.stamp checker in
+                 S.write mem 1;
+                 Snap_checker.record_write checker ~pid:p ~start_time:s
+                   ~finish_time:(Snap_checker.stamp checker) ~value:1;
+                 let s = Snap_checker.stamp checker in
+                 let view = S.scan mem in
+                 Snap_checker.record_scan checker ~pid:p ~start_time:s
+                   ~finish_time:(Snap_checker.stamp checker) ~view))
+        done;
+        fun () ->
+          Result.map_error
+            (fun e -> name ^ " exhaustive: " ^ e)
+            (Snap_checker.check_all checker))
       ()
   in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted;
-  Alcotest.(check bool) "nontrivial" true (stats.Explore.runs > 100)
+  Alcotest.(check (option string)) "no violation" None
+    (Option.map
+       (fun (w : Bprc_check.Explorer.witness) -> w.failure)
+       stats.violation);
+  Alcotest.(check bool) "exhausted" true stats.exhausted;
+  stats
+
+let test_handshake_exhaustive_two_procs () =
+  let stats = exhaustive_two_procs "handshake" handshake_of in
+  Alcotest.(check bool) "nontrivial" true (stats.runs > 100)
 
 let test_handshake_retries_happen_and_are_bounded () =
   (* Writers churn while one process scans; scans may retry but never
@@ -472,31 +482,7 @@ let test_embedded_random_wide () =
   check_random_schedules embedded_of ~n:6 ~rounds:3 ~seeds:15 "embedded-n6"
 
 let test_embedded_exhaustive_two_procs () =
-  let stats =
-    Explore.search ~n:2 ~max_steps:4000 ~max_runs:400_000
-      ~setup:(fun (module R : Runtime_intf.S) ->
-        let module S = Embedded.Make ((val (module R : Runtime_intf.S))) in
-        let mem = S.create ~init:0 () in
-        let checker = Snap_checker.create ~n:2 ~init:0 in
-        let body p =
-          let s = Snap_checker.stamp checker in
-          S.write mem 1;
-          Snap_checker.record_write checker ~pid:p ~start_time:s
-            ~finish_time:(Snap_checker.stamp checker) ~value:1;
-          let s = Snap_checker.stamp checker in
-          let view = S.scan mem in
-          Snap_checker.record_scan checker ~pid:p ~start_time:s
-            ~finish_time:(Snap_checker.stamp checker) ~view
-        in
-        let check _sim =
-          match Snap_checker.check_all checker with
-          | Ok () -> ()
-          | Error e -> failwith ("embedded exhaustive: " ^ e)
-        in
-        (body, check))
-      ()
-  in
-  Alcotest.(check bool) "exhausted" true stats.Explore.exhausted
+  ignore (exhaustive_two_procs "embedded" embedded_of)
 
 let test_embedded_scan_wait_free_under_saturation () =
   (* The scenario that starves the handshake scanner: an endless
