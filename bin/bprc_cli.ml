@@ -94,6 +94,14 @@ let pattern_arg =
     & info [ "inputs" ] ~docv:"PATTERN"
         ~doc:"Input pattern: random, split, ones, zeros.")
 
+(* Exit codes (documented in README "Exit codes"): 0 = all properties
+   held, 1 = a property violation was found/reproduced, 124 = a budget
+   or bound ran out first (run: some process had not decided at the
+   step bound; hunt: the wall-clock budget). *)
+let exit_ok = 0
+let exit_violation = 1
+let exit_budget = 124
+
 (* --- run -------------------------------------------------------------- *)
 
 let run_cmd =
@@ -112,14 +120,35 @@ let run_cmd =
       r.Bprc_harness.Run.steps r.Bprc_harness.Run.max_round
       r.Bprc_harness.Run.walk_steps;
     Fmt.pr "register  : %d bits@." r.Bprc_harness.Run.register_bits;
+    (* [Spec.check] judges only the processes that decided, so an
+       undecided one is reported (and exits 124) on its own. *)
+    let undecided =
+      Array.fold_left
+        (fun c d -> if d = None then c + 1 else c)
+        0 r.Bprc_harness.Run.decisions
+    in
+    let report_undecided () =
+      if undecided > 0 then
+        Fmt.pr "undecided : %d of %d processes did not decide within the \
+                %d-step bound@."
+          undecided n Bprc_harness.Run.default_max_steps
+    in
     match r.Bprc_harness.Run.spec with
-    | Ok () -> Fmt.pr "spec      : consistency and validity hold@."
+    | Ok () ->
+      Fmt.pr "spec      : consistency and validity hold@.";
+      report_undecided ();
+      if undecided > 0 then exit exit_budget
     | Error e ->
       Fmt.pr "spec      : VIOLATION — %s@." e;
-      exit 1
+      report_undecided ();
+      exit exit_violation
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one consensus instance in the simulator.")
+    (Cmd.info "run"
+       ~doc:
+         "Run one consensus instance in the simulator.  Exit codes: 0 every \
+          process decided and the spec holds, 1 spec violation, 124 some \
+          process undecided at the step bound.")
     Term.(const action $ n_arg $ seed_arg $ algo_arg $ sched_arg $ pattern_arg)
 
 
@@ -418,13 +447,6 @@ let trace_cmd =
     Term.(const action $ n_arg $ seed_arg $ sched_arg $ steps_arg $ digest_arg)
 
 (* --- hunt ------------------------------------------------------------- *)
-
-(* Exit codes (documented in README "Exit codes"): 0 = all properties
-   held, 1 = a property violation was found/reproduced, 124 = the
-   wall-clock budget ran out first. *)
-let exit_ok = 0
-let exit_violation = 1
-let exit_budget = 124
 
 let scenario_arg =
   let scenario_conv =

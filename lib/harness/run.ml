@@ -194,8 +194,10 @@ let probe_adversary ~n ~sched ~probe =
     oscillation_adversary ~n ~threshold ~published_sum ~pending ()
   | s -> plain_adversary s
 
+let default_max_steps = 20_000_000
+
 let consensus_once ?sim:reuse ?(params = Bprc_core.Params.default)
-    ?(max_steps = 20_000_000) ?(sched = Random_sched) ?(crash_at = [])
+    ?(max_steps = default_max_steps) ?(sched = Random_sched) ?(crash_at = [])
     ?(faults = []) ~algo ~pattern ~n ~seed () =
   let inputs = inputs_of_pattern pattern ~n ~seed in
   let slot = ref (plain_adversary Random_sched) in

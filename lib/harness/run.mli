@@ -75,6 +75,10 @@ type consensus_run = {
           [Space.registers space] when the report is honest *)
 }
 
+val default_max_steps : int
+(** The step bound {!consensus_once} uses when [max_steps] is not
+    given. *)
+
 val consensus_once :
   ?sim:Bprc_runtime.Sim.t ->
   ?params:Bprc_core.Params.t ->

@@ -23,6 +23,7 @@ type t = {
   kk : int;
   w : int array;  (** [w.(i*nn + j)]: edge weight, or [absent] *)
   mutable pos : positions;
+  mutable gen : int;  (** bumped by every edge write and [invalidate] *)
   (* Reconstruction scratch, lazily allocated on the first
      [reconstruct] and reused across refills of the same graph: a
      scratch graph on the protocol decision path reconstructs once per
@@ -43,6 +44,7 @@ let make ~k ~n w =
     kk = k;
     w;
     pos = Unknown;
+    gen = 0;
     rank = [||];
     order = [||];
     count = [||];
@@ -54,8 +56,10 @@ let of_positions ~k pos =
   let w = Array.make (nn * nn) absent in
   for i = 0 to nn - 1 do
     for j = 0 to nn - 1 do
-      if i <> j && pos.(i) >= pos.(j) then
-        w.((i * nn) + j) <- min (pos.(i) - pos.(j)) k
+      if i <> j && pos.(i) >= pos.(j) then begin
+        let d = pos.(i) - pos.(j) in
+        w.((i * nn) + j) <- (if d < k then d else k)
+      end
     done
   done;
   make ~k ~n:nn w
@@ -75,9 +79,19 @@ let create_scratch ~k ~n =
   if k <= 0 || n <= 0 then invalid_arg "Distance_graph.create_scratch";
   make ~k ~n (Array.make (n * n) absent)
 
-let invalidate t = t.pos <- Unknown
-let set_edge t i j d = t.w.((i * t.nn) + j) <- d
-let clear_edge t i j = t.w.((i * t.nn) + j) <- absent
+let invalidate t =
+  t.pos <- Unknown;
+  t.gen <- t.gen + 1
+
+let[@inline] set_edge t i j d =
+  t.gen <- t.gen + 1;
+  t.w.((i * t.nn) + j) <- d
+
+let[@inline] clear_edge t i j =
+  t.gen <- t.gen + 1;
+  t.w.((i * t.nn) + j) <- absent
+
+let generation t = t.gen
 
 let edge t i j = t.w.((i * t.nn) + j) <> absent
 
@@ -117,12 +131,14 @@ let ensure_scratch t =
 let reconstruct t =
   let nn = t.nn in
   ensure_scratch t;
+  let w = t.w and kk = t.kk in
   let rank = t.rank in
-  Array.fill rank 0 nn 0;
   for i = 0 to nn - 1 do
+    let base = i * nn and c = ref 0 in
     for j = 0 to nn - 1 do
-      if i <> j && unsafe_w t i j <> absent then rank.(i) <- rank.(i) + 1
-    done
+      if i <> j && Array.unsafe_get w (base + j) <> absent then incr c
+    done;
+    rank.(i) <- !c
   done;
   let order = t.order and count = t.count in
   Array.fill count 0 nn 0;
@@ -148,7 +164,7 @@ let reconstruct t =
     if rank.(cur) = rank.(prev) then pos.(cur) <- pos.(prev)
     else begin
       let gap = unsafe_w t cur prev in
-      if gap = absent || gap < 0 || gap > t.kk then ok := false
+      if gap = absent || gap < 0 || gap > kk then ok := false
       else pos.(cur) <- pos.(prev) + gap
     end
   done;
@@ -157,13 +173,12 @@ let reconstruct t =
     (* verify: [of_positions ~k pos] must reproduce [t] exactly *)
     (try
        for i = 0 to nn - 1 do
+         let pi = pos.(i) and base = i * nn in
          for j = 0 to nn - 1 do
            if i <> j then begin
-             let expect =
-               if pos.(i) >= pos.(j) then min (pos.(i) - pos.(j)) t.kk
-               else absent
-             in
-             if unsafe_w t i j <> expect then raise Exit
+             let d = pi - Array.unsafe_get pos j in
+             let expect = if d < 0 then absent else if d < kk then d else kk in
+             if Array.unsafe_get w (base + j) <> expect then raise Exit
            end
          done
        done
@@ -280,6 +295,7 @@ let copy t =
     t with
     w = Array.copy t.w;
     pos = (match t.pos with Pos p -> Pos (Array.copy p) | p -> p);
+    gen = 0;
     rank = [||];
     order = [||];
     count = [||];

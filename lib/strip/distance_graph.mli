@@ -81,10 +81,11 @@ val pp : Format.formatter -> t -> unit
 
     A scratch graph is one [t] refilled in place once per protocol scan
     instead of allocated per decode: {!Edge_counters.to_graph_into}
-    clears/sets every off-diagonal edge and calls {!invalidate}, after
-    which the graph is indistinguishable from a fresh
-    {!of_weights} decode of the same data — queries, including the
-    cached position reconstruction (which reuses per-graph
+    clears/sets every off-diagonal edge and calls {!invalidate} (or
+    leaves a graph that still holds the same counters' decode as it
+    is), after which the graph is indistinguishable from a fresh
+    {!of_weights} decode of the same data — queries, including
+    the cached position reconstruction (which reuses per-graph
     rank/order/pos scratch arrays), answer identically.  The
     differential tests pin refilled-vs-fresh equality.  A refill
     clobbers every previous answer derived from the graph; callers must
@@ -105,6 +106,13 @@ val clear_edge : t -> int -> int -> unit
 val invalidate : t -> unit
 (** Drop the cached position reconstruction; call once per refill
     (before or after the edge writes, but before any query). *)
+
+val generation : t -> int
+(** A count of this graph's mutations: every {!set_edge},
+    {!clear_edge} and {!invalidate} raises it, and nothing else
+    changes it.  {!Edge_counters.to_graph_into} records it after a
+    fill, and leaves the graph alone on the next refill from unchanged
+    counters while it still matches. *)
 
 val reconstruct_into : t -> bool
 (** Force the position reconstruction now, into the graph's reused

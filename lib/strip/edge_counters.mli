@@ -35,7 +35,9 @@ val set_rows : t -> int array array -> unit
 val set_row : t -> int -> int array -> unit
 (** Adopt a single row (validated like {!set_rows}) — lets a caller
     holding per-process row arrays fill the scratch without assembling
-    a row matrix first.
+    a row matrix first.  The row's contents are compared with the
+    stored row; only a row that differs is validated and copied, and
+    makes the next {!to_graph_into} decode.
     @raise Invalid_argument on a bad row index, length or entry. *)
 
 val k : t -> int
@@ -70,12 +72,18 @@ val to_graph : t -> Distance_graph.t
 
 val to_graph_into : t -> Distance_graph.t -> unit
 (** [to_graph] decoded into a caller-owned scratch graph (built with
-    {!Distance_graph.create_scratch} at the same [k]/[n]): every
-    off-diagonal edge is set or cleared and the graph's cached
-    reconstruction invalidated, after which the scratch answers every
-    query exactly as a fresh [to_graph t] would — allocating nothing.
+    {!Distance_graph.create_scratch} at the same [k]/[n]), after which
+    the scratch answers every query exactly as a fresh [to_graph t]
+    would — allocating nothing.  When no counter changed
+    ({!set_row}, {!apply_inc}) since [t] last filled this same graph,
+    and nothing else mutated the graph since (its
+    {!Distance_graph.generation}), the graph and its cached position
+    reconstruction are left as they are; otherwise every pair is
+    decoded.
     @raise Invalid_argument when {!valid} is false (same message as
-    {!to_graph}) or on a scratch-shape mismatch. *)
+    {!to_graph}; the graph's contents are then unspecified until the
+    next fill, which decodes every pair) or on a scratch-shape
+    mismatch. *)
 
 val inc_row_with : t -> graph:Distance_graph.t -> int -> int array
 (** {!inc_row} against a caller-supplied decode of [t] — the scratch
@@ -89,4 +97,5 @@ val inc_row : t -> int -> int array
 (** The new row for process [i] per [inc_graph]; pure. *)
 
 val apply_inc : t -> int -> unit
-(** [inc_row] stored in place (sequential/test convenience). *)
+(** [inc_row] stored in place (sequential/test convenience); the next
+    {!to_graph_into} decodes. *)

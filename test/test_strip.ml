@@ -778,13 +778,86 @@ let suite =
    scratch must match both a fresh flat decode and the frozen
    reference.  This is the shape of the protocol decision path after
    the allocation rework: set_rows -> to_graph_into -> queries ->
-   inc_row_with, with nothing surviving from the previous round. *)
+   inc_row_with, with nothing surviving from the previous round.
+
+   [to_graph_into] caches (it leaves the graph as it is when the same
+   counter object refills the same, unmutated graph with unchanged
+   counters), so each step then drives one of the events that cache
+   must survive and refills again: nothing changed, one row reverted
+   to older contents (the shape of an [Embedded] borrowed view),
+   [apply_inc], another counter object filling the graph, the counter
+   object filling a second graph, a direct
+   [set_edge]/[clear_edge]/[invalidate], or an undecodable refill that
+   must raise.  The step's first refill, of the stale-mixed view, gets
+   every check; the post-event refill samples the all-pairs queries on
+   wide non-positional states, where they run the O(n^3)/O(n^4)
+   relaxation fallback. *)
+let refill_and_check ~ctx ~k ~n ~queries ~full r scratch g_scr lbuf =
+  let rows = Edge_counters.rows scratch in
+  let fresh = Edge_counters.of_rows ~k rows in
+  let refc = Edge_counters_ref.of_rows ~k rows in
+  counters_agree ~ctx scratch refc;
+  let valid = Edge_counters.valid scratch in
+  match Edge_counters.to_graph_into scratch g_scr with
+  | exception Invalid_argument msg ->
+    if valid then Alcotest.failf "%s: to_graph_into raised on valid state" ctx;
+    if msg <> "Edge_counters.to_graph: undecodable state" then
+      Alcotest.failf "%s: undecodable message %S" ctx msg;
+    false
+  | () ->
+    if not valid then
+      Alcotest.failf "%s: to_graph_into accepted invalid state" ctx;
+    let g_fresh = Edge_counters.to_graph fresh in
+    let gr = Edge_counters_ref.to_graph refc in
+    graphs_agree ~ctx g_scr gr;
+    graphs_agree ~ctx:(ctx ^ " fresh") g_fresh gr;
+    let positional = Distance_graph.reconstruct_into g_fresh in
+    if Distance_graph.reconstruct_into g_scr <> positional then
+      Alcotest.failf "%s: reconstruct_into diverges" ctx;
+    if queries then max_path_queries_agree ~ctx ~pairs:6 g_scr gr r;
+    if full || positional || n <= 8 then begin
+      (* dist_ge on the refilled scratch vs dist on a fresh decode,
+         across every pair and the bounds bracketing the protocol's
+         trails-by-K query. *)
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          if a <> b then begin
+            let d = Distance_graph.dist g_fresh a b in
+            for bound = -1 to k + 1 do
+              let want = match d with None -> false | Some d -> d >= bound in
+              if Distance_graph.dist_ge g_scr a b bound <> want then
+                Alcotest.failf "%s: dist_ge (%d,%d) >= %d diverges" ctx a b
+                  bound
+            done
+          end
+        done
+      done;
+      (* inc_row_with against the just-refilled scratch decode. *)
+      for p = 0 to n - 1 do
+        if
+          Edge_counters.inc_row_with scratch ~graph:g_scr p
+          <> Edge_counters.inc_row fresh p
+        then Alcotest.failf "%s: inc_row_with %d diverges" ctx p
+      done
+    end;
+    (* leaders_into into the reused buffer. *)
+    let cnt = Distance_graph.leaders_into g_scr lbuf in
+    if Array.to_list (Array.sub lbuf 0 cnt) <> Distance_graph.leaders g_fresh
+    then Alcotest.failf "%s: leaders_into on scratch diverges" ctx;
+    true
+
+(* The view stream [r] draws exactly what it drew before the events
+   were added, so the first refill of each step checks the same states
+   as ever; the events and their sampling draw from [re]. *)
 let diff_into_walk ~k ~n ~steps ~seed ~sample =
   let r = rng seed in
+  let re = rng (seed + 1000) in
   let live = Edge_counters_ref.create ~k ~n in
   let old_rows = ref (Edge_counters_ref.rows live) in
   let scratch = Edge_counters.create ~k ~n in
+  let other = Edge_counters.create ~k ~n in
   let g_scr = Distance_graph.create_scratch ~k ~n in
+  let g_alt = Distance_graph.create_scratch ~k ~n in
   let lbuf = Array.make n (-1) in
   for step = 1 to steps do
     let i = Bprc_rng.Splitmix.int r n in
@@ -798,8 +871,6 @@ let diff_into_walk ~k ~n ~steps ~seed ~sample =
     in
     let ctx = Printf.sprintf "into k=%d n=%d step %d" k n step in
     Edge_counters.set_rows scratch mixed;
-    let fresh = Edge_counters.of_rows ~k mixed in
-    let refc = Edge_counters_ref.of_rows ~k mixed in
     (* set_rows == of_rows, observed through the allocation-free
        reads (and those agree with each other entry by entry). *)
     Edge_counters.iter_rows scratch (fun i j c ->
@@ -808,52 +879,65 @@ let diff_into_walk ~k ~n ~steps ~seed ~sample =
             mixed.(i).(j);
         if Edge_counters.get scratch i j <> c then
           Alcotest.failf "%s: get (%d,%d) disagrees with iter_rows" ctx i j);
-    counters_agree ~ctx scratch refc;
-    if Edge_counters.valid scratch then begin
-      Edge_counters.to_graph_into scratch g_scr;
-      let g_fresh = Edge_counters.to_graph fresh in
-      let gr = Edge_counters_ref.to_graph refc in
-      graphs_agree ~ctx g_scr gr;
-      graphs_agree ~ctx:(ctx ^ " fresh") g_fresh gr;
-      if step mod sample = 0 then
-        max_path_queries_agree ~ctx ~pairs:6 g_scr gr r;
-      (* dist_ge on the refilled scratch vs dist on a fresh decode,
-         across every pair and the bounds bracketing the protocol's
-         trails-by-K query. *)
-      for a = 0 to n - 1 do
-        for b = 0 to n - 1 do
-          if a <> b then
-            for bound = -1 to k + 1 do
-              let want =
-                match Distance_graph.dist g_fresh a b with
-                | None -> false
-                | Some d -> d >= bound
-              in
-              if Distance_graph.dist_ge g_scr a b bound <> want then
-                Alcotest.failf "%s: dist_ge (%d,%d) >= %d diverges" ctx a b
-                  bound
-            done
-        done
-      done;
-      (* inc_row_with against the just-refilled scratch decode. *)
-      for p = 0 to n - 1 do
-        if
-          Edge_counters.inc_row_with scratch ~graph:g_scr p
-          <> Edge_counters.inc_row fresh p
-        then Alcotest.failf "%s: inc_row_with %d diverges" ctx p
-      done;
-      (* leaders_into into the reused buffer. *)
-      let cnt = Distance_graph.leaders_into g_scr lbuf in
-      if
-        Array.to_list (Array.sub lbuf 0 cnt)
-        <> Distance_graph.leaders g_fresh
-      then Alcotest.failf "%s: leaders_into on scratch diverges" ctx
-    end
-    else begin
-      match Edge_counters.to_graph_into scratch g_scr with
-      | () -> Alcotest.failf "%s: to_graph_into accepted invalid state" ctx
-      | exception Invalid_argument _ -> ()
-    end
+    ignore
+      (refill_and_check ~ctx ~k ~n ~queries:(step mod sample = 0) ~full:true r
+         scratch g_scr lbuf);
+    Edge_counters.apply_inc other (Bprc_rng.Splitmix.int re n);
+    let p = Bprc_rng.Splitmix.int re n in
+    let q = (p + 1) mod n in
+    let ctx =
+      match Bprc_rng.Splitmix.int re 8 with
+      | 0 -> ctx ^ " unchanged"
+      | 1 ->
+        Edge_counters.set_row scratch p !old_rows.(p);
+        ctx ^ " one row"
+      | 2 ->
+        if Edge_counters.valid scratch then Edge_counters.apply_inc scratch p;
+        ctx ^ " apply_inc"
+      | 3 ->
+        if Edge_counters.valid other then Edge_counters.to_graph_into other g_scr;
+        ctx ^ " other filler"
+      | 4 ->
+        if q <> p then
+          if Bprc_rng.Splitmix.bool re then
+            Distance_graph.set_edge g_scr p q (Bprc_rng.Splitmix.int re k)
+          else Distance_graph.clear_edge g_scr p q;
+        ctx ^ " set/clear_edge"
+      | 5 ->
+        Distance_graph.invalidate g_scr;
+        ctx ^ " invalidate"
+      | 6 ->
+        (* The same counter object fills a second graph, changes a row
+           and fills that graph again: [g_scr] must not pass for the
+           graph it filled last. *)
+        if Edge_counters.valid scratch then
+          Edge_counters.to_graph_into scratch g_alt;
+        Edge_counters.set_row scratch p !old_rows.(p);
+        if Edge_counters.valid scratch then
+          Edge_counters.to_graph_into scratch g_alt;
+        ctx ^ " second graph"
+      | _ ->
+        (* Push pair (p,q) into the forbidden band (K, 2K), refill (it
+           must raise), then restore the row.  At K = 1 the band is
+           empty. *)
+        if q <> p && k >= 2 then begin
+          let saved = Edge_counters.row scratch p in
+          let bad = Array.copy saved in
+          bad.(q) <- (Edge_counters.get scratch q p + k + 1) mod (3 * k);
+          Edge_counters.set_row scratch p bad;
+          if
+            refill_and_check ~ctx:(ctx ^ " undecodable") ~k ~n ~queries:false
+              ~full:false re scratch g_scr lbuf
+          then Alcotest.failf "%s: forbidden pair decoded" ctx;
+          Edge_counters.set_row scratch p saved
+        end;
+        ctx ^ " after raise"
+    in
+    (* apply_inc and a reverted row can make the state undecodable *)
+    let sampled = Bprc_rng.Splitmix.int re sample = 0 in
+    ignore
+      (refill_and_check ~ctx ~k ~n ~queries:sampled ~full:sampled re scratch
+         g_scr lbuf)
   done
 
 let test_diff_into () =
@@ -861,7 +945,8 @@ let test_diff_into () =
   diff_into_walk ~k:1 ~n:4 ~steps:400 ~seed:22 ~sample:1;
   diff_into_walk ~k:3 ~n:4 ~steps:400 ~seed:23 ~sample:2;
   diff_into_walk ~k:2 ~n:8 ~steps:250 ~seed:24 ~sample:10;
-  diff_into_walk ~k:2 ~n:32 ~steps:30 ~seed:25 ~sample:15
+  diff_into_walk ~k:2 ~n:32 ~steps:30 ~seed:25 ~sample:15;
+  diff_into_walk ~k:2 ~n:64 ~steps:20 ~seed:26 ~sample:20
 
 (* Steady-state allocation ceiling for the scratch decode: refill one
    scratch graph alternately from two fixed counter states (two, so
@@ -906,11 +991,66 @@ let test_reconstruct_into_no_alloc () =
     (Printf.sprintf "scratch decode minor words/refill %.2f <= 4" per)
     true (per <= 4.0)
 
+(* The incremental decode's cache: refilling an unchanged counter
+   state into the graph it last filled leaves the graph, its cached
+   positions and their [Pos] box as they are, so even forcing the
+   reconstruction every time allocates nothing.  Each refill re-adopts
+   the same rows first, as a protocol scan re-reads rows nobody
+   republished. *)
+let test_unchanged_refill_no_alloc () =
+  let k = 2 and n = 8 in
+  let c = Edge_counters.create ~k ~n in
+  for i = 0 to n - 1 do
+    Edge_counters.apply_inc c (i mod 3)
+  done;
+  let rows = Edge_counters.rows c in
+  let g = Distance_graph.create_scratch ~k ~n in
+  let refill () =
+    Edge_counters.set_rows c rows;
+    Edge_counters.to_graph_into c g;
+    if not (Distance_graph.reconstruct_into g) then
+      Alcotest.fail "state is not positional"
+  in
+  refill ();
+  Gc.full_major ();
+  let rounds = 2000 in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    refill ()
+  done;
+  let dw = Gc.minor_words () -. m0 in
+  Alcotest.(check (float 0.))
+    "unchanged refill minor words/refill" 0.
+    (dw /. float_of_int rounds)
+
+(* Generations count mutations per graph, so two graphs filled the
+   same way share one.  A counter object must still not take a graph
+   that another object filled for the one it filled itself. *)
+let test_refill_same_generation () =
+  let k = 2 and n = 4 in
+  let c = Edge_counters.create ~k ~n and d = Edge_counters.create ~k ~n in
+  Edge_counters.apply_inc d 0;
+  let g1 = Distance_graph.create_scratch ~k ~n
+  and g2 = Distance_graph.create_scratch ~k ~n in
+  Edge_counters.to_graph_into c g1;
+  Edge_counters.to_graph_into d g2;
+  Alcotest.(check int)
+    "equal generations" (Distance_graph.generation g1)
+    (Distance_graph.generation g2);
+  Edge_counters.to_graph_into c g2;
+  graphs_agree ~ctx:"refill of d's graph from c" g2
+    (Edge_counters_ref.to_graph
+       (Edge_counters_ref.of_rows ~k (Edge_counters.rows c)))
+
 let suite =
   suite
   @ [
-      Alcotest.test_case "into: scratch vs fresh decode (n=2,4,8,32)" `Quick
+      Alcotest.test_case "into: scratch vs fresh decode (n=2,4,8,32,64)" `Quick
         test_diff_into;
       Alcotest.test_case "into: reconstruct_into allocation ceiling" `Quick
         test_reconstruct_into_no_alloc;
+      Alcotest.test_case "into: unchanged refill keeps the cache" `Quick
+        test_unchanged_refill_no_alloc;
+      Alcotest.test_case "into: same generation, other graph" `Quick
+        test_refill_same_generation;
     ]
