@@ -50,14 +50,6 @@
                                         below R x the --baseline file's
                                         recorded service-n8 rate (requires
                                         --baseline)
-     throughput.exe --assert-par1-vs-seq R
-                                        exit 1 if explorer-par1 runs/sec falls
-                                        below R x explorer-seq (1-worker pools
-                                        must not pay for parallel machinery)
-     throughput.exe --assert-par-scaling R
-                                        exit 1 if explorer-par4 runs/sec falls
-                                        below R x explorer-par1 (scaling guard;
-                                        only meaningful on multi-core runners)
 
    The four benches:
      raw-sim     n=4 processes spinning on write/read of private
@@ -76,30 +68,26 @@
                  baseline the amortized-replay speedup is asserted
                  against
      explorer-seq   the snapshot-atomic registry config explored
-                 unreduced (30k-run tree) with no pool at all — the
-                 apples-to-apples sequential baseline for the parN rows
+                 unreduced (30k-run tree) — the same tree as explorer-ref
                  (the plain "explorer" row uses a much lighter config
                  and is not comparable); runs with the explorer's
                  default checkpoint ladder
      explorer-ladder0  explorer-seq with the ladder disabled
                  (--ladder 0 semantics): isolates how much of the
                  seq rate is the ladder vs the allocation work
-     explorer-parN  the same config and tree over a N-worker pool
-                 (ops = exploration runs; all rows from explorer-seq
-                 down must report identical run counts — checked)
+                 (ops = exploration runs; explorer-ref, explorer-seq and
+                 explorer-ladder0 must report identical run counts —
+                 checked)
      service-nN  sustained decision throughput of the lib/service
                  engine at N processes: a closed-loop client keeps the
                  1000-instance in-flight window full over a 2-worker
                  pool (ops = decided instances; the metric map also
                  carries submit-to-decide p50/p99 latency)
 
-   The substrate rows are single-domain on purpose: this suite measures
-   the hot path itself.  The explorer-parN rows are the exception —
-   they exist to track how schedule exploration scales across domains
-   (their run counts are bit-identical by construction, only the rate
-   moves).  Their minor-words metric sums the driving domain and every
-   pool helper domain (Pool.helper_minor_words), so allocation per op
-   is comparable across worker counts. *)
+   The substrate and explorer rows are single-domain on purpose: this
+   suite measures the hot path itself.  The service-nN rows are the
+   exception; their minor-words metric sums the driving domain and
+   every pool helper domain (Pool.helper_minor_words). *)
 
 module Sim = Bprc_runtime.Sim
 module Adversary = Bprc_runtime.Adversary
@@ -290,27 +278,23 @@ let bench_explorer ~trials () =
   done;
   (!runs, None, 0.0)
 
-(* The scaling rows: one full unreduced sweep of the snapshot-atomic
-   registry configuration (~30k schedules) per trial, sequentially
-   (explorer-seq, the same-config baseline the scaling asserts compare
-   against) or fanned over a pool.  The run counts are bit-identical at
-   any worker count (the explorer guarantees it); the driver
-   cross-checks that below.  Pool rows add the helper domains'
-   per-domain allocation counters to the driving domain's so
-   minor_words_per_op stays honest as N grows. *)
-let par_config () =
+(* The amortized-replay rows: one full unreduced sweep of the
+   snapshot-atomic registry configuration (~30k schedules) per trial.
+   The run counts are identical at any ladder setting and in the frozen
+   reference; the run-count check after the measurements enforces it. *)
+let snapshot_config () =
   match Bprc_check.Config.find "snapshot-atomic" with
   | Some c -> c
   | None -> failwith "snapshot-atomic config missing"
 
-let explore_par_once ?ladder ?pool cfg =
+let explore_snapshot_once ?ladder cfg =
   let stats =
     Bprc_check.Explorer.explore ~n:cfg.Bprc_check.Config.n
-      ~max_steps:cfg.Bprc_check.Config.max_steps ~reduction:false ?ladder ?pool
+      ~max_steps:cfg.Bprc_check.Config.max_steps ~reduction:false ?ladder
       ~setup:cfg.Bprc_check.Config.setup ()
   in
   if not stats.Bprc_check.Explorer.exhausted then
-    failwith "explorer-seq/par bench did not exhaust";
+    failwith "explorer-seq bench did not exhaust";
   stats.Bprc_check.Explorer.runs
 
 (* The frozen pre-ladder explorer on the identical tree: the in-process
@@ -319,7 +303,7 @@ let explore_par_once ?ladder ?pool cfg =
    libraries, so the seq-vs-ref ratio is conservative — the recorded
    BENCH_throughput.json baseline is where the full speedup shows. *)
 let bench_explorer_ref ~trials () =
-  let cfg = par_config () in
+  let cfg = snapshot_config () in
   let runs = ref 0 in
   for _ = 1 to trials do
     let stats =
@@ -334,24 +318,12 @@ let bench_explorer_ref ~trials () =
   (!runs, None, 0.0)
 
 let bench_explorer_seq ?ladder ~trials () =
-  let cfg = par_config () in
+  let cfg = snapshot_config () in
   let runs = ref 0 in
   for _ = 1 to trials do
-    runs := !runs + explore_par_once ?ladder cfg
+    runs := !runs + explore_snapshot_once ?ladder cfg
   done;
   (!runs, None, 0.0)
-
-let bench_explorer_par ~workers ~trials () =
-  let cfg = par_config () in
-  let pool = Pool.create ~workers () in
-  Pool.reset_helper_minor_words pool;
-  let runs = ref 0 in
-  for _ = 1 to trials do
-    runs := !runs + explore_par_once ~pool cfg
-  done;
-  let helper_words = Pool.helper_minor_words pool in
-  Pool.shutdown pool;
-  (!runs, None, helper_words)
 
 (* ---- sustained service decisions --------------------------------------- *)
 
@@ -361,7 +333,8 @@ let bench_explorer_par ~workers ~trials () =
    not a burst.  Ops are decided instances; sim_steps sums the steps
    every instance consumed; latency percentiles come back through
    [extra] so they land in the metric map next to ops_per_sec.  The
-   pool helper words are banked like the explorer-parN rows. *)
+   pool helper domains' allocation is banked into the row's minor
+   words. *)
 let service_cap = 1_000
 let service_workers = 2
 
@@ -452,10 +425,6 @@ let table ~trials samples =
       [
         "ops_per_sec: higher is better; minor_words_per_op: lower is better";
         "raw-sim ops are simulated steps, so its two rates coincide";
-        "explorer-parN minor words sum the driving domain and all pool \
-         helper domains (per-domain Gc counters banked at chunk join)";
-        "explorer-seq is the same config as explorer-parN with no pool: \
-         the baseline for par scaling asserts (checkpoint ladder on)";
         "explorer-ref is the frozen pre-ladder explorer on the same tree; \
          explorer-ladder0 is explorer-seq with the ladder disabled — \
          together they isolate the amortized-replay speedup";
@@ -492,8 +461,6 @@ let parse_args args =
   and seq_vs_baseline = ref None
   and consensus_vs_baseline = ref None
   and service8_vs_baseline = ref None
-  and par1_vs_seq = ref None
-  and par_scaling = ref None
   and space_ceiling = ref None
   and huge_n = ref false in
   let number what r v tl go =
@@ -541,10 +508,6 @@ let parse_args args =
       number "--assert-consensus-vs-baseline" consensus_vs_baseline v tl go
     | "--assert-service8-vs-baseline" :: v :: tl ->
       number "--assert-service8-vs-baseline" service8_vs_baseline v tl go
-    | "--assert-par1-vs-seq" :: v :: tl ->
-      number "--assert-par1-vs-seq" par1_vs_seq v tl go
-    | "--assert-par-scaling" :: v :: tl ->
-      number "--assert-par-scaling" par_scaling v tl go
     | "--assert-space-total-bits" :: v :: tl ->
       number "--assert-space-total-bits" space_ceiling v tl go
     | "--huge-n" :: tl ->
@@ -556,7 +519,7 @@ let parse_args args =
   ( !json, !trials, !baseline, !ceiling, !esnap_ceiling, !esnap_obj_ceiling,
     !explorer_words_ceiling, !consensus_words_ceiling, !seq_vs_ref,
     !seq_vs_baseline, !consensus_vs_baseline, !service8_vs_baseline,
-    !par1_vs_seq, !par_scaling, !space_ceiling, !huge_n )
+    !space_ceiling, !huge_n )
 
 let read_baseline file =
   let ic = open_in file in
@@ -581,7 +544,7 @@ let () =
   let ( json, trials, baseline, ceiling, esnap_ceiling, esnap_obj_ceiling,
         explorer_words_ceiling, consensus_words_ceiling, seq_vs_ref,
         seq_vs_baseline, consensus_vs_baseline, service8_vs_baseline,
-        par1_vs_seq, par_scaling, space_ceiling, huge_n ) =
+        space_ceiling, huge_n ) =
     parse_args (List.tl (Array.to_list Sys.argv))
   in
   (* Load the baseline before any report write: --json may target the
@@ -603,12 +566,6 @@ let () =
       measure ~bench:"explorer-seq" ~unit_:"run" (bench_explorer_seq ~trials);
       measure ~bench:"explorer-ladder0" ~unit_:"run"
         (bench_explorer_seq ~ladder:0 ~trials);
-      measure ~bench:"explorer-par1" ~unit_:"run"
-        (bench_explorer_par ~workers:1 ~trials);
-      measure ~bench:"explorer-par2" ~unit_:"run"
-        (bench_explorer_par ~workers:2 ~trials);
-      measure ~bench:"explorer-par4" ~unit_:"run"
-        (bench_explorer_par ~workers:4 ~trials);
       measure_service ~n:3 ~per_trial:250 ~trials;
       measure_service ~n:8 ~per_trial:125 ~trials;
       measure_service ~n:16 ~per_trial:125 ~trials;
@@ -618,15 +575,13 @@ let () =
     @ (if huge_n then [ measure_large_n ~n:1024 ] else [])
   in
   (* The explorer rows over the snapshot-atomic tree must agree on the
-     work done: identical trees, identical run counts — across worker
-     counts, ladder settings, and the frozen reference — only the rate
-     may differ. *)
+     work done: identical trees, identical run counts — across ladder
+     settings and the frozen reference — only the rate may differ. *)
   (match
      List.filter_map
        (fun s ->
          if
-           String.starts_with ~prefix:"explorer-par" s.bench
-           || s.bench = "explorer-seq" || s.bench = "explorer-ref"
+           s.bench = "explorer-seq" || s.bench = "explorer-ref"
            || s.bench = "explorer-ladder0"
          then Some s.ops
          else None)
@@ -634,7 +589,7 @@ let () =
    with
   | ops0 :: rest when List.exists (fun o -> o <> ops0) rest ->
     Printf.eprintf
-      "explorer-seq/parN rows disagree on run counts: worker-count \
+      "explorer-ref/seq/ladder0 rows disagree on run counts: ladder \
        determinism is broken\n\
        %!";
     exit 1
@@ -732,7 +687,7 @@ let () =
     | Some r ->
       let got = rate num /. rate den in
       if got < r then begin
-        Printf.eprintf "scaling regression: %s = %.2fx (floor %.2fx)\n%!" what
+        Printf.eprintf "speedup regression: %s = %.2fx (floor %.2fx)\n%!" what
           got r;
         exit 1
       end
@@ -740,10 +695,6 @@ let () =
   in
   check_ratio ~what:"explorer-seq vs explorer-ref" ~num:"explorer-seq"
     ~den:"explorer-ref" seq_vs_ref;
-  check_ratio ~what:"explorer-par1 vs explorer-seq" ~num:"explorer-par1"
-    ~den:"explorer-seq" par1_vs_seq;
-  check_ratio ~what:"explorer-par4 vs explorer-par1" ~num:"explorer-par4"
-    ~den:"explorer-par1" par_scaling;
   (* Rate claims against the recorded report rather than an in-process
      row: only meaningful when refreshing the shipped
      BENCH_throughput.json on a machine comparable to the one that

@@ -786,13 +786,13 @@ let check_cmd =
       & info [ "ladder" ] ~docv:"K"
           ~doc:
             "Checkpoint-ladder budget: up to $(docv) parked simulator \
-             arenas per shard amortize schedule-prefix replay (0 \
-             disables; default: the explorer's own).  A pure \
+             arenas amortize schedule-prefix replay (0 disables; \
+             default: the explorer's own).  A pure \
              performance knob — reports are bit-identical at any \
              value.")
   in
   let action configs list max_runs max_steps budget_s out json no_shrink
-      ladder workers =
+      ladder =
     if list then begin
       List.iter
         (fun c ->
@@ -815,7 +815,11 @@ let check_cmd =
               exit 2)
           names
     in
-    let pool = pool_of_workers workers in
+    (* Clean means the whole tree was enumerated and every run finished:
+       a run cut off at the step bound checked nothing. *)
+    let clean (s : Bprc_check.Explorer.stats) =
+      s.exhausted && s.step_limited = 0
+    in
     let results =
       (* Stop exploring further configurations at the first violation,
          mirroring hunt's stop-at-first-failure. *)
@@ -824,7 +828,7 @@ let check_cmd =
         | cfg :: rest ->
           let stats =
             Bprc_check.Config.run ~max_runs ?max_steps ?budget_s
-              ~shrink:(not no_shrink) ?ladder ~pool cfg
+              ~shrink:(not no_shrink) ?ladder cfg
           in
           if not json then begin
             match stats.Bprc_check.Explorer.violation with
@@ -833,8 +837,7 @@ let check_cmd =
                 cfg.Bprc_check.Config.name stats.Bprc_check.Explorer.runs
                 stats.Bprc_check.Explorer.pruned
                 stats.Bprc_check.Explorer.step_limited
-                (if stats.Bprc_check.Explorer.exhausted then
-                   "exhausted: clean"
+                (if clean stats then "exhausted: clean"
                  else "bound hit: clean so far")
             | Some w ->
               Fmt.pr "check: %-16s FAILURE after %d runs: %s@."
@@ -865,14 +868,9 @@ let check_cmd =
         Fmt.pr "  repro   : bprc replay %s@." out
       end
     | _ -> ());
-    let all_exhausted =
-      List.for_all
-        (fun (_, s) -> s.Bprc_check.Explorer.exhausted)
-        results
-    in
     let outcome =
       if found <> None then "violation"
-      else if all_exhausted then "clean"
+      else if List.for_all (fun (_, s) -> clean s) results then "clean"
       else "bound_hit"
     in
     if json then begin
@@ -906,9 +904,7 @@ let check_cmd =
            (Bprc_util.Json.Obj
               [
                 ("kind", Bprc_util.Json.Str "bprc-check-report");
-                ("version", Bprc_util.Json.Int 1);
-                ( "workers",
-                  Bprc_util.Json.Int (Bprc_harness.Pool.workers pool) );
+                ("version", Bprc_util.Json.Int 2);
                 ( "ladder",
                   Bprc_util.Json.Int
                     (Option.value ladder
@@ -930,15 +926,14 @@ let check_cmd =
          "Exhaustively explore the schedules of small configurations \
           (linearizability + P1-P3 + consensus spec on every completed \
           run); on violation, write a ddmin-minimized replayable witness \
-          schedule.  Run/pruned counts equal the sequential explorer's \
-          stopped at its first violation, so reports are bit-identical \
-          at any --workers count.  \
-          Exit codes: 0 every configuration exhausted clean, 1 violation \
-          found, 124 exploration bound hit first.")
+          schedule.  Exploration is a sequential DFS stopped at its \
+          first violation, so reports are deterministic.  \
+          Exit codes: 0 every configuration exhausted clean with no run \
+          cut off at the step bound, 1 violation found, 124 a run, step \
+          or wall-clock bound hit first.")
     Term.(
       const action $ configs_arg $ list_arg $ max_runs_arg $ max_steps_arg
-      $ budget_arg $ out_arg $ json_arg $ no_shrink_arg $ ladder_arg
-      $ workers_opt_arg)
+      $ budget_arg $ out_arg $ json_arg $ no_shrink_arg $ ladder_arg)
 
 (* --- serve-bench ------------------------------------------------------- *)
 

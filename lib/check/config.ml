@@ -273,10 +273,10 @@ let all =
 let names () = List.map (fun c -> c.name) all
 let find name = List.find_opt (fun c -> c.name = name) all
 
-let run ?max_steps ?max_runs ?budget_s ?shrink ?ladder ?pool cfg =
+let run ?max_steps ?max_runs ?budget_s ?shrink ?ladder cfg =
   Explorer.explore ~n:cfg.n
     ~max_steps:(Option.value max_steps ~default:cfg.max_steps)
-    ?max_runs ?budget_s ~reduction:cfg.reduction ?shrink ?ladder ?pool
+    ?max_runs ?budget_s ~reduction:cfg.reduction ?shrink ?ladder
     ~setup:cfg.setup ()
 
 let counterexample ?max_steps cfg (w : Explorer.witness) =

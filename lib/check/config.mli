@@ -33,15 +33,11 @@ val run :
   ?budget_s:float ->
   ?shrink:bool ->
   ?ladder:int ->
-  ?pool:Bprc_harness.Pool.t ->
   t ->
   Explorer.stats
 (** {!Explorer.explore} with the configuration's program, bound and
     reduction setting ([max_steps] overrides the default; [ladder]
-    bounds the checkpoint ladder, see {!Explorer.explore}; [pool] fans
-    subtree exploration out across domains with bit-identical
-    results — every registry setup is safe to run from helper
-    domains). *)
+    bounds the checkpoint ladder, see {!Explorer.explore}). *)
 
 val replay : ?max_steps:int -> t -> Explorer.witness -> Explorer.replay_outcome * int
 

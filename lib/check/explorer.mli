@@ -25,8 +25,7 @@
     from the rung below (or the root when the ladder ran dry), keeping
     a near-divergence top rung over a geometric tail of shallower ones
     (exponential spacing).  The [?ladder] knob bounds the parked-arena
-    count (0 disables; both the width-1 path and the parallel shard
-    path go through it).  Resumed arenas are bit-identical to replayed
+    count (0 disables).  Resumed arenas are bit-identical to replayed
     ones, so the ladder never affects results — only where simulator
     steps are spent.
 
@@ -53,36 +52,7 @@
     A violation is returned as a {!witness}: the schedule (runnable
     indices, in {!Bprc_runtime.Adversary.scripted} form) and flip
     sequence of the failing run, by default minimized with
-    {!Bprc_faults.Shrink.ddmin} under replay validation.
-
-    {b Parallel exploration.}  With a [?pool] wider than one worker,
-    the tree is sharded by a {e work-stealing carve frontier}: a cheap
-    probe pass walks the root truncated at a small depth, turning each
-    never-visited frontier prefix into an independent child shard (its
-    own DFS state, its own arena, its sleep set seeded from the
-    prefix); rounds of geometrically growing run quotas fan the
-    unfinished shards out over the pool, and any shard still fat when
-    the live set thins is re-carved the same way — donating only its
-    never-visited subtrees — so skewed trees keep every worker busy
-    without per-round idling.  Shards that can only produce work past
-    the first violation or the run bound are shed between {e and
-    during} rounds (a {!Bprc_harness.Pool.Gate} cancels them at claim
-    time), so post-witness draining stops early.
-
-    Determinism does not come from scheduling — carve timing, steal
-    decisions and cancellation are all allowed to race — but from {e
-    reconstruction}: every shard records, at each carve, a snapshot of
-    its own run counters, which totally orders its own runs against its
-    children's subtrees in sequential DFS order.  The report is read
-    off that order as the longest contiguous determinate prefix
-    (stopping at the first violation, the run bound, or an unfinished
-    shard), and speculative work past the stop point is simply never
-    counted.  The result (stats, witness, exhausted flag) therefore
-    equals the sequential explorer's bit for bit at any worker count —
-    a 1-worker pool (or [?pool:None]) dispatches straight to the plain
-    sequential DFS and pays for none of the machinery.  Only
-    wall-clock-bounded runs ([budget_s]) can differ, exactly as they
-    already do sequentially. *)
+    {!Bprc_faults.Shrink.ddmin} under replay validation. *)
 
 type setup = Bprc_runtime.Sim.t -> unit -> (unit, string) result
 (** A configuration: given a fresh simulator, allocate the shared
@@ -107,7 +77,7 @@ type stats = {
 }
 
 val default_ladder : int
-(** Default checkpoint budget (parked arenas per shard). *)
+(** Default checkpoint budget (parked arenas). *)
 
 val explore :
   n:int ->
@@ -117,33 +87,20 @@ val explore :
   ?reduction:bool ->
   ?shrink:bool ->
   ?ladder:int ->
-  ?pool:Bprc_harness.Pool.t ->
-  ?par_quota:int ->
   setup:setup ->
   unit ->
   stats
 (** Explore all schedules of [setup] with [n] processes, stopping at the
     first violation (in schedule order).  [max_steps] (default 2000)
     bounds each run; [max_runs] (default 200_000) bounds the whole
-    exploration exactly — the reported counters are those of a
-    sequential DFS stopped after precisely [max_runs] runs, whatever
-    the worker count.  [budget_s] (wall-clock, default none) is the one
-    non-deterministic bound: a parallel exploration it cuts short
-    reports the contiguous determinate prefix, which may lag the work
-    actually done.  [reduction] (default [true]) enables sleep sets;
-    [shrink] (default [true]) ddmin-minimizes the witness.  [pool]
-    (default none: everything on the calling domain) fans shard
-    exploration out over a {!Bprc_harness.Pool}; results are
-    bit-identical at any worker count.  [setup] must then be safe to
-    call from helper domains — true of every {!Config} registry entry.
-    [par_quota] (default 1024) is the first parallel round's per-shard
-    run quota, an expert/test knob: smaller values force more rounds
-    and earlier re-carving, which the stress tests use to exercise the
-    steal schedule on small trees; it never affects results.
-    [ladder] (default {!default_ladder}) bounds the checkpoint ladder —
-    the parked arenas per shard that amortize prefix replay; [0]
-    disables parking entirely.  Like [par_quota] it never affects
-    results, only how much simulator work a run costs. *)
+    exploration exactly: the DFS stops after precisely [max_runs] runs.
+    [budget_s] (wall-clock, default none) is the one non-deterministic
+    bound.  [reduction] (default [true]) enables sleep sets; [shrink]
+    (default [true]) ddmin-minimizes the witness.  [ladder] (default
+    {!default_ladder}) bounds the checkpoint ladder — the parked arenas
+    that amortize prefix replay; [0] disables parking entirely.  It
+    never affects results, only how much simulator work a run costs.
+    Everything runs on the calling domain. *)
 
 val ladder_counters : unit -> int * int
 (** [(resumes, regens)]: process-wide monotonic counts of runs resumed

@@ -3,11 +3,11 @@
 
     This is the stateless-checking baseline {!Explorer} was rewritten
     from: per-run heap-allocated DFS node records, every run replayed
-    from the root on a single arena, no checkpoint ladder, no parallel
-    machinery.  Its reports define the sequential-exact semantics the
-    optimised {!Explorer} must reproduce bit for bit — the equivalence
-    suite in [test/test_check.ml] diffs full reports against it across
-    every registry config, ladder setting and worker count, and
+    from the root on a single arena, no checkpoint ladder.  Its reports
+    define the semantics the optimised {!Explorer} must reproduce bit
+    for bit — the equivalence suite in [test/test_check.ml] diffs full
+    reports against it across every registry config, ladder setting
+    and run bound, and
     [bench/throughput.exe]'s [explorer-ref] row is the in-process
     baseline for the ladder speedup assert.  Do not modify this module
     when changing {!Explorer}. *)
@@ -41,8 +41,7 @@ val explore :
   setup:setup ->
   unit ->
   stats
-(** Sequential-only [explore]; same semantics and defaults as
-    {!Explorer.explore} restricted to one worker. *)
+(** Same semantics and defaults as {!Explorer.explore}. *)
 
 val replay :
   n:int ->

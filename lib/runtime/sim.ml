@@ -426,8 +426,6 @@ let run_until t ~stop =
   in
   go ()
 
-let adopt t = t.owner <- self_id ()
-
 let spawn t f =
   if t.spawned >= t.n then invalid_arg "Sim.spawn: already spawned n processes";
   let pid = t.spawned in
@@ -462,7 +460,6 @@ let clock t = t.clock
 let n t = t.n
 let registers_created t = t.next_reg_id
 let max_steps t = t.max_steps
-let owner_domain t = t.owner
 let steps_of t pid = t.procs.(pid).steps
 let flips_of t pid = t.procs.(pid).flips
 let trace t = t.tr

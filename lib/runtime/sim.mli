@@ -59,9 +59,8 @@ val reset : ?seed:int -> ?adversary:Adversary.t -> t -> unit
     register raises no error but is meaningless.
 
     [reset] also {e adopts ownership}: the calling domain becomes the
-    arena's owner (see {!step}), which is how the parallel explorer
-    migrates a per-subtree arena between pool workers — always through
-    a reset, never mid-run. *)
+    arena's owner (see {!step}), so an arena moves between domains only
+    through a reset, never mid-run. *)
 
 val runtime : t -> (module Runtime_intf.S)
 (** The shared-memory interface bound to this simulator instance.
@@ -85,17 +84,6 @@ val slot : t -> 'a slot -> (t -> 'a) -> 'a
     use.  It survives {!reset}: a value that holds per-run state must
     be rewound by its user. *)
 
-val adopt : t -> unit
-(** Make the calling domain the arena's owner {e without} resetting it.
-    This is the parked-arena seam for the explorer's checkpoint ladder:
-    a simulator replayed to a branch point by one worker may be resumed
-    by another, and the mid-run state (suspended fibers, clocks,
-    registers) must survive the migration — which {!reset} would wipe.
-    Only legal at a quiescent point: the previous owner must have
-    returned from {!step}/{!run}/{!run_until} and must never drive the
-    arena again without re-adopting it.  Concurrent driving is still a
-    race; this merely transfers the single-driver token. *)
-
 val spawn : t -> (unit -> 'a) -> 'a handle
 (** Register process number [spawned-so-far] (pids are assigned 0,1,...).
     Must be called exactly [n] times before {!run}.
@@ -111,11 +99,10 @@ val run_until : t -> stop:(unit -> bool) -> outcome option
 (** Like {!run}, but pause and return [None] as soon as [stop ()] holds
     (checked before every step, after the step-limit check).  The arena
     is left mid-run and can be driven further by {!step}, {!run} or
-    another [run_until] — or parked as a checkpoint and resumed later,
-    possibly from another domain via {!adopt}.  [Some outcome] means the
-    run finished before [stop] fired.  Raises like {!run} when fewer
-    than [n] processes are spawned or the caller does not own the
-    arena. *)
+    another [run_until] — or parked as a checkpoint and resumed later.
+    [Some outcome] means the run finished before [stop] fired.  Raises
+    like {!run} when fewer than [n] processes are spawned or the caller
+    does not own the arena. *)
 
 val step : t -> bool
 (** Execute a single adversary-chosen step.  Returns [false] when no
@@ -162,14 +149,6 @@ val registers_created : t -> int
     creation (or the last {!reset}) — the measured side of the space
     accounting: a protocol whose space report is honest creates exactly
     this many registers and never more mid-run. *)
-
-val owner_domain : t -> int
-(** Id of the domain that currently owns the arena — the one that
-    {!create}d or last {!reset} it.  Stealing an arena between domains
-    is legal exactly at a {!reset} boundary (which re-adopts it); this
-    accessor lets harness code assert that invariant, e.g. that no
-    explorer worker ever drives a shard arena another domain still
-    owns. *)
 
 val steps_of : t -> int -> int
 (** Steps taken by one process. *)

@@ -374,177 +374,19 @@ let test_consensus_corner_search () =
     stats.Explorer.exhausted
 
 (* ------------------------------------------------------------------ *)
-(* Parallel exploration is bit-identical at any worker count           *)
-(* ------------------------------------------------------------------ *)
-
-(* The tentpole contract: stats totals, the exhausted flag and the
-   (shrunk) witness must not depend on how many domains explored the
-   tree.  Exercised on a clean reduced config (snapshot-atomic) and on
-   a violating unreduced one (snapshot-unsafe), whose witness JSON is
-   compared bit-for-bit. *)
-let test_worker_count_invariance () =
-  let witness_json cfg = function
-    | None -> "none"
-    | Some w ->
-      Bprc_faults.Counterexample.to_string (Config.counterexample cfg w)
-  in
-  List.iter
-    (fun name ->
-      let cfg = get_config name in
-      let at_workers w =
-        let pool = Bprc_harness.Pool.create ~workers:w () in
-        let stats = Config.run ~pool cfg in
-        Bprc_harness.Pool.shutdown pool;
-        stats
-      in
-      let base = Config.run cfg (* no pool at all *) in
-      List.iter
-        (fun w ->
-          let stats = at_workers w in
-          Alcotest.(check int)
-            (Printf.sprintf "%s runs @%d workers" name w)
-            base.Explorer.runs stats.Explorer.runs;
-          Alcotest.(check int)
-            (Printf.sprintf "%s pruned @%d workers" name w)
-            base.Explorer.pruned stats.Explorer.pruned;
-          Alcotest.(check int)
-            (Printf.sprintf "%s step_limited @%d workers" name w)
-            base.Explorer.step_limited stats.Explorer.step_limited;
-          Alcotest.(check bool)
-            (Printf.sprintf "%s exhausted @%d workers" name w)
-            base.Explorer.exhausted stats.Explorer.exhausted;
-          Alcotest.(check string)
-            (Printf.sprintf "%s witness @%d workers" name w)
-            (witness_json cfg base.Explorer.violation)
-            (witness_json cfg stats.Explorer.violation))
-        [ 1; 2; 4; 8 ])
-    [ "snapshot-atomic"; "snapshot-unsafe" ]
-
-(* The steal schedule under adversarial skew: one frontier prefix holds
-   nearly every run, so the initial carve is useless and the re-carve
-   (work-stealing) path must fire for any pool wider than one worker.
-   [par_quota:16] forces many small rounds on a tree this size, which
-   is what makes the thinning live set trigger re-carving.
-
-   The setup is built so p0 going first kills the branching instantly
-   (it reads the flag's initial 0 and exits), while p1 going first
-   opens ~C(12,5) interleavings of the two write loops: well over 90%
-   of all runs sit under the single p1-first prefix.
-
-   Alongside the stats checks, the setup itself asserts the steal
-   handoff contract: it runs right after [Sim.reset] on whichever
-   domain claimed the shard, so the arena it sees must already be owned
-   by that domain — a non-adopted arena increments [bad_owner]. *)
-let test_skewed_steal () =
-  let module Sim = Bprc_runtime.Sim in
-  let bad_owner = Atomic.make 0 in
-  let setup sim =
-    if Sim.owner_domain sim <> (Domain.self () :> int) then
-      Atomic.incr bad_owner;
-    let (module R) = Sim.runtime sim in
-    let flag = R.make_reg ~name:"flag" 0 in
-    let a = R.make_reg ~name:"a" 0 in
-    let b = R.make_reg ~name:"b" 0 in
-    ignore
-      (Sim.spawn sim (fun () ->
-           if R.read flag = 1 then
-             for k = 1 to 12 do
-               R.write a k
-             done));
-    ignore
-      (Sim.spawn sim (fun () ->
-           R.write flag 1;
-           for k = 1 to 4 do
-             R.write b k
-           done));
-    fun () -> Ok ()
-  in
-  let explore ?pool () =
-    Explorer.explore ~n:2 ~max_steps:256 ~reduction:false ~shrink:false ?pool
-      ~par_quota:16 ~setup ()
-  in
-  let base = explore () in
-  Alcotest.(check bool) "skewed tree exhausted sequentially" true
-    base.Explorer.exhausted;
-  Alcotest.(check bool)
-    (Printf.sprintf "tree big enough to shard (%d runs)" base.Explorer.runs)
-    true
-    (base.Explorer.runs > 500);
-  List.iter
-    (fun w ->
-      let pool = Bprc_harness.Pool.create ~workers:w () in
-      let stats = explore ~pool () in
-      Bprc_harness.Pool.shutdown pool;
-      Alcotest.(check int)
-        (Printf.sprintf "skewed runs @%d workers" w)
-        base.Explorer.runs stats.Explorer.runs;
-      Alcotest.(check int)
-        (Printf.sprintf "skewed pruned @%d workers" w)
-        base.Explorer.pruned stats.Explorer.pruned;
-      Alcotest.(check int)
-        (Printf.sprintf "skewed step_limited @%d workers" w)
-        base.Explorer.step_limited stats.Explorer.step_limited;
-      Alcotest.(check bool)
-        (Printf.sprintf "skewed exhausted @%d workers (all shards complete)" w)
-        true stats.Explorer.exhausted)
-    [ 1; 2; 4; 8 ];
-  Alcotest.(check int) "no worker saw a foreign-owned arena" 0
-    (Atomic.get bad_owner)
-
-(* [max_runs] landing mid-stream: the parallel explorer reconstructs
-   the exact counters of a sequential DFS stopped after precisely
-   [max_runs] runs, including when the bound falls strictly inside one
-   shard's segment (forcing the bounded re-run path).  [par_quota:8]
-   makes rounds small so most bounds land mid-shard. *)
-let test_max_runs_mid_shard () =
-  let cfg = get_config "snapshot-unsafe" in
-  List.iter
-    (fun mr ->
-      let run ?pool () =
-        Explorer.explore ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps
-          ~max_runs:mr ~reduction:cfg.Config.reduction ?pool ~par_quota:8
-          ~setup:cfg.Config.setup ()
-      in
-      let base = run () in
-      List.iter
-        (fun w ->
-          let pool = Bprc_harness.Pool.create ~workers:w () in
-          let stats = run ~pool () in
-          Bprc_harness.Pool.shutdown pool;
-          Alcotest.(check int)
-            (Printf.sprintf "max_runs %d runs @%d workers" mr w)
-            base.Explorer.runs stats.Explorer.runs;
-          Alcotest.(check int)
-            (Printf.sprintf "max_runs %d pruned @%d workers" mr w)
-            base.Explorer.pruned stats.Explorer.pruned;
-          Alcotest.(check int)
-            (Printf.sprintf "max_runs %d step_limited @%d workers" mr w)
-            base.Explorer.step_limited stats.Explorer.step_limited;
-          Alcotest.(check bool)
-            (Printf.sprintf "max_runs %d exhausted @%d workers" mr w)
-            base.Explorer.exhausted stats.Explorer.exhausted;
-          Alcotest.(check bool)
-            (Printf.sprintf "max_runs %d violation parity @%d workers" mr w)
-            (base.Explorer.violation = None)
-            (stats.Explorer.violation = None))
-        [ 2; 4 ])
-    [ 1; 7; 123; 1000 ]
-
-(* ------------------------------------------------------------------ *)
 (* Checkpoint ladder: pure speed, bit-identical reports                *)
 (* ------------------------------------------------------------------ *)
 
-(* The ladder contract: Explorer with any ladder budget, sequential or
-   pooled, reproduces the frozen pre-ladder Explorer_ref's full report
-   — stats totals, the exhausted flag, and the (shrunk) witness — on
-   every registry configuration.  [max_runs] keeps the unbounded
-   consensus trees finite; it also exercises the bounded-stop path
-   under every ladder setting. *)
+(* The ladder contract: Explorer with any ladder budget reproduces the
+   frozen pre-ladder Explorer_ref's full report — stats totals, the
+   exhausted flag, and the (shrunk) witness — on every registry
+   configuration.  [max_runs] keeps the unbounded consensus trees
+   finite, and the smaller bounds stop the DFS inside most trees,
+   exercising the bounded-stop path under every ladder setting. *)
 let test_ladder_vs_scratch_equivalence () =
-  let max_runs = 1500 in
   List.iter
-    (fun cfg ->
-      let name = cfg.Config.name in
+    (fun (cfg, max_runs) ->
+      let name = Printf.sprintf "%s max_runs=%d" cfg.Config.name max_runs in
       let reference =
         Explorer_ref.explore ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps
           ~max_runs ~reduction:cfg.Config.reduction ~setup:cfg.Config.setup ()
@@ -581,30 +423,22 @@ let test_ladder_vs_scratch_equivalence () =
       in
       List.iter
         (fun ladder ->
-          let explore ?pool () =
-            Explorer.explore ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps
-              ~max_runs ~reduction:cfg.Config.reduction ~ladder ?pool
-              ~setup:cfg.Config.setup ()
-          in
           check_eq
-            ~label:(Printf.sprintf "%s ladder=%d seq" name ladder)
-            (explore ());
-          List.iter
-            (fun w ->
-              let pool = Bprc_harness.Pool.create ~workers:w () in
-              let stats = explore ~pool () in
-              Bprc_harness.Pool.shutdown pool;
-              check_eq
-                ~label:(Printf.sprintf "%s ladder=%d @%d workers" name ladder w)
-                stats)
-            [ 1; 2; 4 ])
+            ~label:(Printf.sprintf "%s ladder=%d" name ladder)
+            (Explorer.explore ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps
+               ~max_runs ~reduction:cfg.Config.reduction ~ladder
+               ~setup:cfg.Config.setup ()))
         [ 0; 1; 8 ])
-    Config.all
+    (List.concat_map
+       (fun cfg -> List.map (fun mr -> (cfg, mr)) [ 1; 7; 123; 1000; 1500 ])
+       Config.all)
 
-(* Rung regeneration under adversarial skew: the same lopsided tree as
-   [test_skewed_steal] keeps nearly all runs under one deep prefix, so
-   backtracks constantly land below parked rungs, invalidating them and
-   driving the lazy move/fresh regeneration policy.  The global
+(* Rung regeneration under adversarial skew: p0 going first kills the
+   branching instantly (it reads the flag's initial 0 and exits), while
+   p1 going first opens ~C(12,5) interleavings of the two write loops,
+   so nearly all runs sit under one deep prefix.  Backtracks constantly
+   land below parked rungs, invalidating them and driving the lazy
+   move/fresh regeneration policy.  The global
    counters must show both paths firing, and the report must still be
    identical to a ladderless exploration. *)
 let test_skewed_ladder_regen () =
@@ -686,12 +520,6 @@ let suite =
       test_random_histories_linearizable;
     Alcotest.test_case "explore: consensus corner search" `Quick
       test_consensus_corner_search;
-    Alcotest.test_case "explore: worker-count invariance" `Quick
-      test_worker_count_invariance;
-    Alcotest.test_case "explore: skewed-subtree stealing" `Quick
-      test_skewed_steal;
-    Alcotest.test_case "explore: max_runs mid-shard" `Quick
-      test_max_runs_mid_shard;
     Alcotest.test_case "explore: ladder-vs-scratch equivalence" `Quick
       test_ladder_vs_scratch_equivalence;
     Alcotest.test_case "explore: skewed ladder regeneration" `Quick
