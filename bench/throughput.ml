@@ -20,12 +20,12 @@
      throughput.exe --assert-explorer-words-per-run CEIL
                                         exit 1 if explorer-seq allocates more
                                         than CEIL minor words per explored run
-                                        (the ladder rewrite's allocation-free
-                                        DFS bookkeeping guard)
+                                        (the allocation-free DFS
+                                        bookkeeping guard)
      throughput.exe --assert-seq-vs-ref R
                                         exit 1 if explorer-seq runs/sec falls
                                         below R x explorer-ref (the in-process
-                                        floor on the amortized-replay speedup;
+                                        floor on the flat-bookkeeping speedup;
                                         machine-independent, unlike the 2x
                                         claim against the recorded baseline)
      throughput.exe --assert-seq-vs-baseline R
@@ -64,20 +64,15 @@
      explorer    bounded exhaustive exploration of a 3-process
                  write-then-read config (ops = exploration runs)
      explorer-ref   the same snapshot-atomic tree explored by the
-                 frozen pre-ladder Explorer_ref — the in-process
-                 baseline the amortized-replay speedup is asserted
+                 frozen original Explorer_ref — the in-process
+                 baseline the flat-bookkeeping speedup is asserted
                  against
      explorer-seq   the snapshot-atomic registry config explored
                  unreduced (30k-run tree) — the same tree as explorer-ref
                  (the plain "explorer" row uses a much lighter config
-                 and is not comparable); runs with the explorer's
-                 default checkpoint ladder
-     explorer-ladder0  explorer-seq with the ladder disabled
-                 (--ladder 0 semantics): isolates how much of the
-                 seq rate is the ladder vs the allocation work
-                 (ops = exploration runs; explorer-ref, explorer-seq and
-                 explorer-ladder0 must report identical run counts —
-                 checked)
+                 and is not comparable)
+                 (ops = exploration runs; explorer-ref and explorer-seq
+                 must report identical run counts — checked)
      service-nN  sustained decision throughput of the lib/service
                  engine at N processes: a closed-loop client keeps the
                  1000-instance in-flight window full over a 2-worker
@@ -278,27 +273,27 @@ let bench_explorer ~trials () =
   done;
   (!runs, None, 0.0)
 
-(* The amortized-replay rows: one full unreduced sweep of the
+(* The explorer-seq/ref rows: one full unreduced sweep of the
    snapshot-atomic registry configuration (~30k schedules) per trial.
-   The run counts are identical at any ladder setting and in the frozen
-   reference; the run-count check after the measurements enforces it. *)
+   The run counts are identical in the frozen reference; the run-count
+   check after the measurements enforces it. *)
 let snapshot_config () =
   match Bprc_check.Config.find "snapshot-atomic" with
   | Some c -> c
   | None -> failwith "snapshot-atomic config missing"
 
-let explore_snapshot_once ?ladder cfg =
+let explore_snapshot_once cfg =
   let stats =
     Bprc_check.Explorer.explore ~n:cfg.Bprc_check.Config.n
-      ~max_steps:cfg.Bprc_check.Config.max_steps ~reduction:false ?ladder
+      ~max_steps:cfg.Bprc_check.Config.max_steps ~reduction:false
       ~setup:cfg.Bprc_check.Config.setup ()
   in
   if not stats.Bprc_check.Explorer.exhausted then
     failwith "explorer-seq bench did not exhaust";
   stats.Bprc_check.Explorer.runs
 
-(* The frozen pre-ladder explorer on the identical tree: the in-process
-   baseline for the amortized-replay speedup assert.  Being in the same
+(* The frozen original explorer on the identical tree: the in-process
+   baseline for the flat-bookkeeping speedup assert.  Being in the same
    process and build, it moves with the machine and the shared workload
    libraries, so the seq-vs-ref ratio is conservative — the recorded
    BENCH_throughput.json baseline is where the full speedup shows. *)
@@ -317,11 +312,11 @@ let bench_explorer_ref ~trials () =
   done;
   (!runs, None, 0.0)
 
-let bench_explorer_seq ?ladder ~trials () =
+let bench_explorer_seq ~trials () =
   let cfg = snapshot_config () in
   let runs = ref 0 in
   for _ = 1 to trials do
-    runs := !runs + explore_snapshot_once ?ladder cfg
+    runs := !runs + explore_snapshot_once cfg
   done;
   (!runs, None, 0.0)
 
@@ -425,9 +420,8 @@ let table ~trials samples =
       [
         "ops_per_sec: higher is better; minor_words_per_op: lower is better";
         "raw-sim ops are simulated steps, so its two rates coincide";
-        "explorer-ref is the frozen pre-ladder explorer on the same tree; \
-         explorer-ladder0 is explorer-seq with the ladder disabled — \
-         together they isolate the amortized-replay speedup";
+        "explorer-ref is the frozen original explorer on the same tree as \
+         explorer-seq: their ratio isolates the flat-bookkeeping speedup";
         "service-nN rows drive the lib/service decision engine closed-loop \
          (in-flight window pinned at its cap of 1000) over a 2-worker pool; \
          their lat_p50_s/lat_p99_s metrics are submit-to-decide latency";
@@ -564,8 +558,6 @@ let () =
       measure ~bench:"explorer" ~unit_:"run" (bench_explorer ~trials);
       measure ~bench:"explorer-ref" ~unit_:"run" (bench_explorer_ref ~trials);
       measure ~bench:"explorer-seq" ~unit_:"run" (bench_explorer_seq ~trials);
-      measure ~bench:"explorer-ladder0" ~unit_:"run"
-        (bench_explorer_seq ~ladder:0 ~trials);
       measure_service ~n:3 ~per_trial:250 ~trials;
       measure_service ~n:8 ~per_trial:125 ~trials;
       measure_service ~n:16 ~per_trial:125 ~trials;
@@ -575,25 +567,16 @@ let () =
     @ (if huge_n then [ measure_large_n ~n:1024 ] else [])
   in
   (* The explorer rows over the snapshot-atomic tree must agree on the
-     work done: identical trees, identical run counts — across ladder
-     settings and the frozen reference — only the rate may differ. *)
-  (match
-     List.filter_map
-       (fun s ->
-         if
-           s.bench = "explorer-seq" || s.bench = "explorer-ref"
-           || s.bench = "explorer-ladder0"
-         then Some s.ops
-         else None)
-       samples
-   with
-  | ops0 :: rest when List.exists (fun o -> o <> ops0) rest ->
-    Printf.eprintf
-      "explorer-ref/seq/ladder0 rows disagree on run counts: ladder \
-       determinism is broken\n\
-       %!";
-    exit 1
-  | _ -> ());
+     work done: identical trees, identical run counts — only the rate may
+     differ. *)
+  (let ops bench = (List.find (fun s -> s.bench = bench) samples).ops in
+   if ops "explorer-seq" <> ops "explorer-ref" then begin
+     Printf.eprintf
+       "explorer-ref/seq rows disagree on run counts: the explorer no \
+        longer matches its frozen reference\n\
+        %!";
+     exit 1
+   end);
   let total_wall_s = Unix.gettimeofday () -. t0 in
   let tbl = table ~trials samples in
   Table.print tbl;
@@ -648,7 +631,7 @@ let () =
   in
   check_ceiling ~what:"esnap-scan object words/op" ~got:esnap_obj
     esnap_obj_ceiling;
-  (* The ladder rewrite's allocation guard: the explorer's own DFS
+  (* The explorer's allocation guard: its own DFS
      bookkeeping is allocation-free, so words/run on the 30k-run tree
      is workload setup + check cost and must stay flat. *)
   let explorer_seq = List.find (fun s -> s.bench = "explorer-seq") samples in
@@ -699,7 +682,7 @@ let () =
      row: only meaningful when refreshing the shipped
      BENCH_throughput.json on a machine comparable to the one that
      produced the baseline.  explorer-seq carries the headline 2x
-     amortized-replay claim; consensus and service-n8 are the
+     explorer-rewrite claim; consensus and service-n8 are the
      before/after floors guarding the protocol-decode rewrite. *)
   let check_vs_baseline ~flag ~row = function
     | None -> ()

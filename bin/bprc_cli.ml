@@ -95,12 +95,17 @@ let pattern_arg =
         ~doc:"Input pattern: random, split, ones, zeros.")
 
 (* Exit codes (documented in README "Exit codes"): 0 = all properties
-   held, 1 = a property violation was found/reproduced, 124 = a budget
-   or bound ran out first (run: some process had not decided at the
-   step bound; hunt: the wall-clock budget). *)
+   held, 1 = a property violation was found/reproduced, 2 = usage error
+   (unknown flag, malformed value, unknown name), 124 = a budget or
+   bound ran out first (run: some process had not decided at the step
+   bound; hunt: the wall-clock budget), 125 = internal error (uncaught
+   exception).  Usage errors must not share 124: scripts treat a bound
+   hit as a pass. *)
 let exit_ok = 0
 let exit_violation = 1
+let exit_usage = 2
 let exit_budget = 124
+let exit_internal = 125
 
 (* --- run -------------------------------------------------------------- *)
 
@@ -290,12 +295,12 @@ let experiment_cmd =
     | Some id ->
       Fmt.epr "unknown experiment %s; valid ids: %s@." id
         (String.concat " " Bprc_harness.Experiments.ids);
-      exit 2
+      exit exit_usage
     | None -> ());
     (match workers with
     | Some w when w < 1 ->
       Fmt.epr "--workers expects a positive integer@.";
-      exit 2
+      exit exit_usage
     | _ -> ());
     let pool =
       try
@@ -304,7 +309,7 @@ let experiment_cmd =
         | None -> Bprc_harness.Pool.default ()
       with Invalid_argument msg ->
         Fmt.epr "%s@." msg;
-        exit 2
+        exit exit_usage
     in
     let t0 = Unix.gettimeofday () in
     let entries =
@@ -485,7 +490,7 @@ let pool_of_workers workers =
   match workers with
   | Some w when w < 1 ->
     Fmt.epr "--workers expects a positive integer@.";
-    exit 2
+    exit exit_usage
   | Some w -> Bprc_harness.Pool.create ~workers:w ()
   | None -> Bprc_harness.Pool.default ()
 
@@ -654,7 +659,7 @@ let replay_cmd =
     match Bprc_faults.Counterexample.load ~path:file with
     | Error e ->
       Fmt.epr "replay: %s@." e;
-      exit 2
+      exit exit_usage
     | Ok c -> (
       (* Hunt counterexamples name a scenario, check ones a config. *)
       let label =
@@ -667,7 +672,7 @@ let replay_cmd =
         Fmt.epr "replay: %s registry has no %s %S@."
           (Bprc_faults.Counterexample.registry_name c.registry)
           label c.name;
-        exit 2
+        exit exit_usage
       | Some (outcome, clock) ->
         let summary outcome fields =
           if json then
@@ -779,20 +784,7 @@ let check_cmd =
       value & flag
       & info [ "no-shrink" ] ~doc:"Skip ddmin minimization of the witness.")
   in
-  let ladder_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "ladder" ] ~docv:"K"
-          ~doc:
-            "Checkpoint-ladder budget: up to $(docv) parked simulator \
-             arenas amortize schedule-prefix replay (0 disables; \
-             default: the explorer's own).  A pure \
-             performance knob — reports are bit-identical at any \
-             value.")
-  in
-  let action configs list max_runs max_steps budget_s out json no_shrink
-      ladder =
+  let action configs list max_runs max_steps budget_s out json no_shrink =
     if list then begin
       List.iter
         (fun c ->
@@ -812,7 +804,7 @@ let check_cmd =
             | None ->
               Fmt.epr "check: unknown configuration %S (valid: %s)@." name
                 (String.concat ", " (Bprc_check.Config.names ()));
-              exit 2)
+              exit exit_usage)
           names
     in
     (* Clean means the whole tree was enumerated and every run finished:
@@ -828,7 +820,7 @@ let check_cmd =
         | cfg :: rest ->
           let stats =
             Bprc_check.Config.run ~max_runs ?max_steps ?budget_s
-              ~shrink:(not no_shrink) ?ladder cfg
+              ~shrink:(not no_shrink) cfg
           in
           if not json then begin
             match stats.Bprc_check.Explorer.violation with
@@ -904,11 +896,7 @@ let check_cmd =
            (Bprc_util.Json.Obj
               [
                 ("kind", Bprc_util.Json.Str "bprc-check-report");
-                ("version", Bprc_util.Json.Int 2);
-                ( "ladder",
-                  Bprc_util.Json.Int
-                    (Option.value ladder
-                       ~default:Bprc_check.Explorer.default_ladder) );
+                ("version", Bprc_util.Json.Int 3);
                 ("outcome", Bprc_util.Json.Str outcome);
                 ( "configs",
                   Bprc_util.Json.Arr (List.map config_json results) );
@@ -933,7 +921,7 @@ let check_cmd =
           or wall-clock bound hit first.")
     Term.(
       const action $ configs_arg $ list_arg $ max_runs_arg $ max_steps_arg
-      $ budget_arg $ out_arg $ json_arg $ no_shrink_arg $ ladder_arg)
+      $ budget_arg $ out_arg $ json_arg $ no_shrink_arg)
 
 (* --- serve-bench ------------------------------------------------------- *)
 
@@ -1036,16 +1024,16 @@ let serve_bench_cmd =
       json workers =
     if instances < 1 then begin
       Fmt.epr "--instances expects a positive integer@.";
-      exit 2
+      exit exit_usage
     end;
     if cap < 1 then begin
       Fmt.epr "--in-flight expects a positive integer@.";
-      exit 2
+      exit exit_usage
     end;
     (match batch with
     | Some b when b < 1 ->
       Fmt.epr "--batch expects a positive integer@.";
-      exit 2
+      exit exit_usage
     | _ -> ());
     let pool = pool_of_workers workers in
     let eng =
@@ -1177,4 +1165,9 @@ let main =
     [ run_cmd; coin_cmd; experiment_cmd; multi_cmd; trace_cmd; hunt_cmd;
       replay_cmd; check_cmd; serve_bench_cmd; space_report_cmd ]
 
-let () = exit (Cmd.eval main)
+let () =
+  exit
+    (match Cmd.eval_value main with
+    | Ok (`Ok () | `Version | `Help) -> exit_ok
+    | Error (`Parse | `Term) -> exit_usage
+    | Error `Exn -> exit_internal)

@@ -119,11 +119,11 @@ let snapshot_prog ~plan ~prog =
      instead of once per explored run. *)
   let module Snap_lin = Lin.Make ((val Specs.snapshot ~n ())) in
   let weakened = plan <> [] in
-  (* Per-arena checker/history scratch.  A parked checkpoint-ladder
-     arena holds a partially recorded history across other runs, so one
-     scratch pair per domain is not enough — the pair lives in the
-     arena, like the functor applications above, and is rewound with
-     [reset]/[clear] when the arena starts a fresh run. *)
+  (* Per-arena checker/history scratch.  A registry setup is shared by
+     every caller on every domain, so the pair lives in the arena (a
+     [Sim.slot]) rather than in this closure: it is reused across the
+     runs of one exploration, dies with its arena, and is rewound with
+     [reset]/[clear] at the start of each run. *)
   let scratch : (Snap_checker.t * Specs.snap_op Hist.t) Sim.slot =
     Sim.new_slot ()
   in
@@ -273,11 +273,10 @@ let all =
 let names () = List.map (fun c -> c.name) all
 let find name = List.find_opt (fun c -> c.name = name) all
 
-let run ?max_steps ?max_runs ?budget_s ?shrink ?ladder cfg =
+let run ?max_steps ?max_runs ?budget_s ?shrink cfg =
   Explorer.explore ~n:cfg.n
     ~max_steps:(Option.value max_steps ~default:cfg.max_steps)
-    ?max_runs ?budget_s ~reduction:cfg.reduction ?shrink ?ladder
-    ~setup:cfg.setup ()
+    ?max_runs ?budget_s ~reduction:cfg.reduction ?shrink ~setup:cfg.setup ()
 
 let counterexample ?max_steps cfg (w : Explorer.witness) =
   {

@@ -32,12 +32,10 @@ val run :
   ?max_runs:int ->
   ?budget_s:float ->
   ?shrink:bool ->
-  ?ladder:int ->
   t ->
   Explorer.stats
 (** {!Explorer.explore} with the configuration's program, bound and
-    reduction setting ([max_steps] overrides the default; [ladder]
-    bounds the checkpoint ladder, see {!Explorer.explore}). *)
+    reduction setting ([max_steps] overrides the default). *)
 
 val replay : ?max_steps:int -> t -> Explorer.witness -> Explorer.replay_outcome * int
 

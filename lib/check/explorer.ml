@@ -1,6 +1,5 @@
 module Sim = Bprc_runtime.Sim
 module Adversary = Bprc_runtime.Adversary
-module Vec = Bprc_util.Vec
 
 type setup = Sim.t -> unit -> (unit, string) result
 
@@ -21,16 +20,9 @@ type stats = {
 
 type replay_outcome = Pass | Fail of string | Cutoff
 
-let default_ladder = 8
-
-(* Test instrumentation for the checkpoint ladder: how many runs were
-   resumed from a parked arena instead of replayed from the root, and
-   how many rungs were (re)generated by a partial drive.  Monotonic
-   process-wide counters; the ladder tests read deltas around an
-   exploration to assert the machinery actually engaged. *)
-let resumes = Atomic.make 0
-let regens = Atomic.make 0
-let ladder_counters () = (Atomic.get resumes, Atomic.get regens)
+(* The explorer has no checkpoints; this stub keeps the repository
+   benchmark's explore workload, which still reads it, building. *)
+let ladder_counters () = (0, 0)
 
 (* ---- step independence ------------------------------------------------ *)
 
@@ -59,16 +51,16 @@ let access_of_step sim =
 (* ---- the DFS decision tree -------------------------------------------- *)
 
 (* The decision tree lives in depth-indexed int-array pools (the same
-   style as [Sim]'s scratch ladder) instead of per-node heap records:
-   one slot per tree depth, reused every time the DFS revisits that
-   depth, so steady-state exploration allocates nothing per run.  Depth
-   [r] holds either a scheduling point — candidate pids in [order.(r)]
-   (a row of exactly [n] ints, allocated once per depth, [onum.(r)] of
-   them live), the branch currently explored in [bidx.(r)], its
-   runnable-array index cached in [cix.(r)] ([-1] = recompute on next
-   visit, set by backtrack when it advances the branch), and its step's
-   packed access code in [acc.(r)] — or a coin flip ([kind] byte 1)
-   whose explored value is [bidx.(r)].
+   style as [Sim]'s reusable scratch buffers) instead of per-node heap
+   records: one slot per tree depth, reused every time the DFS revisits
+   that depth, so steady-state exploration allocates nothing per run.
+   Depth [r] holds either a scheduling point — candidate pids in
+   [order.(r)] (a row of exactly [n] ints, allocated once per depth,
+   [onum.(r)] of them live), the branch currently explored in
+   [bidx.(r)], its runnable-array index cached in [cix.(r)] ([-1] =
+   recompute on next visit, set by backtrack when it advances the
+   branch), and its step's packed access code in [acc.(r)] — or a coin
+   flip ([kind] byte 1) whose explored value is [bidx.(r)].
 
    Sleep sets are rows in the same pools: [spid.(r)]/[sacc.(r)] hold
    the node's sleep-in entries ([sin.(r)] of them — pids asleep when
@@ -79,10 +71,10 @@ let access_of_step sim =
    independence with its captured access), so it is computed once per
    node creation instead of once per step.
 
-   [pos] is the driving arena's decision cursor (decisions executed);
-   it lives here rather than in per-run closures so one adversary
-   closure serves every arena, and so an arena can be parked (cursor
-   saved) and resumed (cursor restored) by the checkpoint ladder.
+   [pos] is the run's decision cursor (decisions executed); it lives
+   here rather than in per-run closures so one adversary closure and
+   one flip source serve every run, rewound to the root (cursor 0) at
+   the start of each.
    [cap] is the depth whose access code the drive loop must capture
    after the current step ([-1] = none): fresh nodes and re-chosen
    branches set it, so access capture happens exactly once per
@@ -99,7 +91,7 @@ type dfs = {
   mutable snum : int array;
   mutable sin : int array;
   mutable len : int;  (* nodes on the current path *)
-  mutable pos : int;  (* decisions executed by the driving arena *)
+  mutable pos : int;  (* decisions executed by the current run *)
   mutable cap : int;  (* depth awaiting access capture; -1 = none *)
 }
 
@@ -204,20 +196,7 @@ let replay ~n ?(max_steps = 2000) ~choices ~flips ~setup () =
   in
   replay_on sim ~choices ~flips ~setup
 
-(* ---- arenas and the checkpoint ladder ---------------------------------- *)
-
-(* A parked simulator arena.  Effect continuations are one-shot, so a
-   checkpoint cannot be a copy of simulator state: it is a whole extra
-   arena driven to a branch point on the DFS spine and paused there
-   ([Sim.run_until]), to be resumed — and thereby consumed — by a later
-   run whose decision prefix it matches.  [ar_pos] is the [dfs] cursor
-   saved at the park point; [ar_check] is the property check [setup]
-   returned when this arena's lifecycle started. *)
-type arena = {
-  ar_sim : Sim.t;
-  mutable ar_check : unit -> (unit, string) result;
-  mutable ar_pos : int;
-}
+(* ---- exhaustive exploration ------------------------------------------- *)
 
 (* The pending sleep set entering a fresh node at depth [rel]: empty at
    the root, otherwise the last scheduling node's sleep entries
@@ -247,27 +226,17 @@ let pending_fill d rel =
     !np
   end
 
-(* ---- exhaustive exploration ------------------------------------------- *)
-
 (* Explore the decision tree depth-first for at most [max_runs]
    completed runs (pruned and step-limited runs count: each consumes a
    schedule), or until the tree is exhausted, a violation is found, or
    [deadline] passes.  The violation, if any, is returned unshrunk.
 
-   [ladder] is the checkpoint budget: up to that many parked arenas.
-   Each run starts from the deepest rung at or below its divergence
-   position instead of a root replay when one exists; backtracking
-   invalidates rungs beyond the new divergence eagerly (parking
-   validity is about decision prefixes, and a rung may only survive a
-   backtrack it is strictly below).  Consumed rungs are regenerated
-   lazily, at most one partial drive per run, from the rung below (or
-   from the root, when the ladder ran dry under a deep divergence) — an
-   exponential-spacing policy: the ladder keeps a near-divergence top
-   rung plus a geometric tail of older, shallower ones.  None of this
-   can change results: an arena resumed at a rung is bit-identical to
-   one replayed from the root ([Sim.reset] determinism), so the ladder
-   only redistributes simulator work. *)
-let search ~n ~max_steps ~max_runs ~deadline ~reduction ~ladder ~setup =
+   Every run rewinds the one arena [sim] with [Sim.reset] and replays
+   its decision prefix from the root: effect continuations are
+   one-shot, so a mid-run state cannot be saved and resumed, and
+   [Sim.reset] guarantees a rewound arena behaves bit-identically to a
+   fresh one. *)
+let search ~sim ~n ~max_runs ~deadline ~reduction ~setup =
   let d = dfs_make () in
   let runs = ref 0 and pruned = ref 0 and cutoff = ref 0 in
   let finished = ref false (* every schedule explored *) in
@@ -275,7 +244,7 @@ let search ~n ~max_steps ~max_runs ~deadline ~reduction ~ladder ~setup =
   let over_deadline () =
     match deadline with None -> false | Some dl -> Unix.gettimeofday () > dl
   in
-  (* One adversary/flip-source pair serves every arena: they read only
+  (* One adversary/flip-source pair serves every run: they read only
      the [dfs] cursor, so they are run-agnostic. *)
   let choose (ctx : Adversary.ctx) =
     let p = d.pos in
@@ -355,101 +324,13 @@ let search ~n ~max_steps ~max_runs ~deadline ~reduction ~ladder ~setup =
     end
   in
   let adversary = Adversary.make ~name:"explore" choose in
-  (* The ladder of parked arenas (sorted by ascending park position;
-     the deepest rung is on top) and the free list of spent ones.
-     Arenas are created lazily, at most [ladder + 1] of them. *)
-  let rungs = Vec.create () and free = Vec.create () in
-  let made = ref 0 in
-  let seeded = ref (min_int / 2) (* [runs] when the ladder was last seeded *) in
-  (* Start a fresh arena lifecycle: rewind, rewire the shared closures,
-     run [setup].  The cursor goes to the root. *)
-  let fresh_arena () =
-    let a =
-      match Vec.pop free with
-      | Some a -> a
-      | None ->
-        incr made;
-        {
-          ar_sim =
-            Sim.create ~seed:0 ~max_steps ~n ~adversary:placeholder_adversary
-              ();
-          ar_check = (fun () -> Ok ());
-          ar_pos = 0;
-        }
-    in
-    Sim.reset ~adversary a.ar_sim;
-    Sim.set_flip_source a.ar_sim flip;
-    a.ar_check <- setup a.ar_sim;
-    a.ar_pos <- 0;
-    a
-  in
-  let spend a = Vec.push free a in
-  (* Regenerate the ladder when the run about to start found it too
-     far below the divergence.  At most one partial drive per run, and
-     the drive crosses only already-explored decisions, so it cannot
-     prune or extend the tree.  Two sources, in priority order: move
-     the rung below up to just under the divergence (only when another
-     rung remains beneath it — exponential spacing: a near-divergence
-     top over a geometric tail), or start a fresh lifecycle when the
-     ladder ran dry under a deep divergence.  Every arena lifecycle
-     still crosses its decision path exactly once (continuations are
-     one-shot), so regeneration is replay-neutral in aggregate — it
-     redistributes simulator work, never multiplies it — but each drive
-     has fixed mechanism cost, so fresh seeding is rate-limited to at
-     most one per [seed_interval] runs to keep the ladder ~free on
-     dense complete trees. *)
-  let seed_interval = 8 in
-  let maybe_regen ~dabs =
-    let t = dabs - 2 in
-    if t > 1 then begin
-      let nr = Vec.length rungs in
-      let src =
-        if nr >= 2 then begin
-          match Vec.last rungs with
-          | Some a when a.ar_pos < t - 3 -> Vec.pop rungs
-          | _ -> None
-        end
-        else if
-          nr = 0 && t >= 16
-          && !runs - !seeded >= seed_interval
-          && (Vec.length free > 0 || !made <= ladder)
-        then begin
-          seeded := !runs;
-          Some (fresh_arena ())
-        end
-        else None
-      in
-      match src with
-      | None -> ()
-      | Some a -> (
-        d.pos <- a.ar_pos;
-        match Sim.run_until a.ar_sim ~stop:(fun () -> d.pos >= t) with
-        | None ->
-          a.ar_pos <- d.pos;
-          Vec.push rungs a;
-          Atomic.incr regens
-        | Some _ ->
-          (* Hit the step bound mid-drive (cutoff-heavy path): the
-             arena is spent, not parked. *)
-          spend a)
-    end
-  in
+  let max_steps = Sim.max_steps sim in
   let run_once () =
-    (* Divergence: the deepest decision position this run shares with
-       the previous one.  Rungs above it were invalidated by backtrack,
-       so the ladder's top (if any) is a valid resume point. *)
-    let dabs = d.len - 1 in
-    let hot =
-      match Vec.pop rungs with
-      | Some a ->
-        Atomic.incr resumes;
-        a
-      | None -> fresh_arena ()
-    in
-    if ladder > 0 then maybe_regen ~dabs;
-    d.pos <- hot.ar_pos;
+    Sim.reset ~adversary sim;
+    Sim.set_flip_source sim flip;
+    let check = setup sim in
+    d.pos <- 0;
     d.cap <- -1;
-    let sim = hot.ar_sim in
     let rec drive () =
       if Sim.clock sim >= max_steps then `Cutoff
       else if Sim.step sim then begin
@@ -462,24 +343,20 @@ let search ~n ~max_steps ~max_runs ~deadline ~reduction ~ladder ~setup =
       end
       else `Done
     in
-    let res =
-      match try drive () with Prune -> `Pruned with
-      | (`Pruned | `Cutoff) as o -> o
-      | `Done -> (
-        match hot.ar_check () with
-        | Ok () -> `Pass
-        | Error failure ->
-          let choices = ref [] and flips = ref [] in
-          for r = d.len - 1 downto 0 do
-            if Bytes.get d.kind r = '\000' then
-              choices := d.cix.(r) :: !choices
-            else flips := (d.bidx.(r) = 1) :: !flips
-          done;
-          let clock = Sim.clock sim in
-          `Violation { choices = !choices; flips = !flips; failure; clock })
-    in
-    spend hot;
-    res
+    match try drive () with Prune -> `Pruned with
+    | (`Pruned | `Cutoff) as o -> o
+    | `Done -> (
+      match check () with
+      | Ok () -> `Pass
+      | Error failure ->
+        let choices = ref [] and flips = ref [] in
+        for r = d.len - 1 downto 0 do
+          if Bytes.get d.kind r = '\000' then
+            choices := d.cix.(r) :: !choices
+          else flips := (d.bidx.(r) = 1) :: !flips
+        done;
+        let clock = Sim.clock sim in
+        `Violation { choices = !choices; flips = !flips; failure; clock })
   in
   (* Backtrack to the deepest decision with an unexplored alternative;
      marks the exploration finished when none is left. *)
@@ -513,23 +390,6 @@ let search ~n ~max_steps ~max_runs ~deadline ~reduction ~ladder ~setup =
       end
     end
   in
-  (* Rungs survive a backtrack only when parked strictly below the new
-     divergence: a rung above it has executed a decision the advanced
-     branch replaces.  Invalidation must be eager (here, not at resume
-     time) — a later run could dive deeper than a stale rung's position
-     and mistake it for valid. *)
-  let invalidate_rungs () =
-    let bound = d.len - 1 in
-    let rec go () =
-      match Vec.last rungs with
-      | Some a when a.ar_pos > bound ->
-        ignore (Vec.pop rungs);
-        spend a;
-        go ()
-      | _ -> ()
-    in
-    go ()
-  in
   while
     (not !finished) && !violation = None && !runs < max_runs
     && not (over_deadline ())
@@ -540,10 +400,7 @@ let search ~n ~max_steps ~max_runs ~deadline ~reduction ~ladder ~setup =
     | `Cutoff -> incr cutoff
     | `Violation w -> violation := Some w);
     incr runs;
-    if !violation = None then begin
-      backtrack ();
-      invalidate_rungs ()
-    end
+    if !violation = None then backtrack ()
   done;
   {
     runs = !runs;
@@ -554,23 +411,18 @@ let search ~n ~max_steps ~max_runs ~deadline ~reduction ~ladder ~setup =
   }
 
 let explore ~n ?(max_steps = 2000) ?(max_runs = 200_000) ?budget_s
-    ?(reduction = true) ?(shrink = true) ?(ladder = default_ladder) ~setup () =
-  if ladder < 0 then invalid_arg "Explorer.explore: negative ladder";
+    ?(reduction = true) ?(shrink = true) ~setup () =
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) budget_s in
-  let stats =
-    search ~n ~max_steps ~max_runs ~deadline ~reduction ~ladder ~setup
+  let sim =
+    Sim.create ~seed:0 ~max_steps ~n ~adversary:placeholder_adversary ()
   in
+  let stats = search ~sim ~n ~max_runs ~deadline ~reduction ~setup in
   match stats.violation with
   | None -> stats
   | Some _ when not shrink -> stats
   | Some w ->
-    (* Shrink replays run on their own arena: explorer arenas may be
-       parked mid-run, and [replay_on] flips sticky validation on. *)
-    let shrink_sim =
-      Sim.create ~seed:0 ~max_steps ~n ~adversary:placeholder_adversary ()
-    in
     let still_fails choices flips =
-      match replay_on shrink_sim ~choices ~flips ~setup with
+      match replay_on sim ~choices ~flips ~setup with
       | Fail _, _ -> true
       | (Pass | Cutoff), _ -> false
     in
@@ -583,7 +435,7 @@ let explore ~n ?(max_steps = 2000) ?(max_runs = 200_000) ?budget_s
       Bprc_faults.Shrink.ddmin ~test:(fun fs -> still_fails choices fs) w.flips
     in
     let violation =
-      match replay_on shrink_sim ~choices ~flips ~setup with
+      match replay_on sim ~choices ~flips ~setup with
       | Fail failure, clock -> Some { choices; flips; failure; clock }
       | (Pass | Cutoff), _ -> Some w
     in

@@ -7,32 +7,18 @@
     decision with an unexplored alternative.  The simulator is
     deterministic, so identical prefixes reach identical states and the
     tree enumerates exactly the reachable interleavings up to the step
-    bound.  Runs share a small pool of reusable simulator arenas,
-    rewound with {!Bprc_runtime.Sim.reset} — which guarantees
-    bit-identical behaviour to a fresh simulator — so exploring
-    thousands of schedules does not allocate thousands of process
-    tables.
-
-    {b Amortized replay: the checkpoint ladder.}  Effect continuations
-    are one-shot, so a mid-run simulator state cannot be copied; a
-    checkpoint is therefore a whole extra arena driven to a branch
-    point on the current DFS spine with {!Bprc_runtime.Sim.run_until}
-    and parked there.  On backtrack to depth [d], the next run resumes
-    (and consumes) the deepest parked arena at or below the divergence
-    instead of replaying from the root; backtracking eagerly drops
-    rungs parked beyond the new divergence, and consumed rungs are
-    regenerated lazily — at most one partial drive per run, sourced
-    from the rung below (or the root when the ladder ran dry), keeping
-    a near-divergence top rung over a geometric tail of shallower ones
-    (exponential spacing).  The [?ladder] knob bounds the parked-arena
-    count (0 disables).  Resumed arenas are bit-identical to replayed
-    ones, so the ladder never affects results — only where simulator
-    steps are spent.
+    bound.  Every run rewinds one simulator arena with
+    {!Bprc_runtime.Sim.reset} — which guarantees bit-identical
+    behaviour to a fresh simulator — and replays its decision prefix
+    from the root, so exploring thousands of schedules does not
+    allocate thousands of process tables.  Effect continuations are
+    one-shot, so a mid-run state cannot be saved and resumed: root
+    replay is the one way a run reaches its branch point.
 
     {b Allocation discipline.}  DFS bookkeeping (candidate orders,
     branch indices, sleep sets, captured access codes) lives in
     depth-indexed int-array pools reused across runs, in the style of
-    [Sim]'s scratch ladder, so steady-state exploration allocates O(1)
+    [Sim]'s reusable scratch buffers, so steady-state exploration allocates O(1)
     words per run; the pending sleep set entering a fresh node is
     recomputed from the node below it rather than threaded through
     every step.
@@ -76,9 +62,6 @@ type stats = {
   violation : witness option;
 }
 
-val default_ladder : int
-(** Default checkpoint budget (parked arenas). *)
-
 val explore :
   n:int ->
   ?max_steps:int ->
@@ -86,7 +69,6 @@ val explore :
   ?budget_s:float ->
   ?reduction:bool ->
   ?shrink:bool ->
-  ?ladder:int ->
   setup:setup ->
   unit ->
   stats
@@ -96,18 +78,13 @@ val explore :
     exploration exactly: the DFS stops after precisely [max_runs] runs.
     [budget_s] (wall-clock, default none) is the one non-deterministic
     bound.  [reduction] (default [true]) enables sleep sets; [shrink]
-    (default [true]) ddmin-minimizes the witness.  [ladder] (default
-    {!default_ladder}) bounds the checkpoint ladder — the parked arenas
-    that amortize prefix replay; [0] disables parking entirely.  It
-    never affects results, only how much simulator work a run costs.
-    Everything runs on the calling domain. *)
+    (default [true]) ddmin-minimizes the witness, replaying on the
+    search's own arena.  Everything runs on the calling domain. *)
 
 val ladder_counters : unit -> int * int
-(** [(resumes, regens)]: process-wide monotonic counts of runs resumed
-    from a parked arena and of rungs (re)generated by a partial drive.
-    Test instrumentation — read deltas around an exploration to assert
-    the ladder engaged (e.g. that a skewed tree exercises rung
-    regeneration on backtrack). *)
+(** Always [(0, 0)].  The explorer has no checkpoint ladder; this stub
+    exists only so the repository benchmark ([perfbench/explore.ml],
+    which reads it) still builds. *)
 
 type replay_outcome =
   | Pass

@@ -1,8 +1,8 @@
 (* Frozen reference implementation of the sequential explorer, kept
-   verbatim from before the checkpoint-ladder/flat-bookkeeping rewrite
-   of {!Explorer}.  It allocates fresh node records per scheduling
-   point and replays every run from the root on one arena — the
-   O(runs x depth) stateless baseline.  Used only by the differential
+   verbatim from before the flat-bookkeeping rewrite of {!Explorer}.
+   It allocates fresh node records per scheduling point and replays
+   every run from the root on one arena — the O(runs x depth)
+   stateless baseline.  Used only by the differential
    equivalence tests and the [explorer-ref] bench row; never touch it
    when optimising {!Explorer}. *)
 

@@ -1,16 +1,15 @@
-(** Frozen pre-ladder sequential explorer, kept as a differential
+(** Frozen original sequential explorer, kept as a differential
     oracle and bench baseline.
 
     This is the stateless-checking baseline {!Explorer} was rewritten
     from: per-run heap-allocated DFS node records, every run replayed
-    from the root on a single arena, no checkpoint ladder.  Its reports
-    define the semantics the optimised {!Explorer} must reproduce bit
-    for bit — the equivalence suite in [test/test_check.ml] diffs full
-    reports against it across every registry config, ladder setting
-    and run bound, and
+    from the root on a single arena.  Its reports define the semantics
+    the optimised {!Explorer} must reproduce bit for bit — the
+    equivalence suite in [test/test_check.ml] diffs full reports
+    against it across every registry config and run bound, and
     [bench/throughput.exe]'s [explorer-ref] row is the in-process
-    baseline for the ladder speedup assert.  Do not modify this module
-    when changing {!Explorer}. *)
+    baseline for the seq-vs-ref speedup assert.  Do not modify this
+    module when changing {!Explorer}. *)
 
 type setup = Bprc_runtime.Sim.t -> unit -> (unit, string) result
 

@@ -414,18 +414,6 @@ let run t =
   in
   go ()
 
-let run_until t ~stop =
-  check_owner t "run_until";
-  if t.spawned < t.n then
-    invalid_arg "Sim.run_until: fewer processes spawned than n";
-  let rec go () =
-    if t.clock >= t.max_steps then Some Hit_step_limit
-    else if stop () then None
-    else if step_inline t then go ()
-    else Some Completed
-  in
-  go ()
-
 let spawn t f =
   if t.spawned >= t.n then invalid_arg "Sim.spawn: already spawned n processes";
   let pid = t.spawned in

@@ -95,15 +95,6 @@ val run : t -> outcome
     spawned, or when called from a domain other than the arena's owner
     (see {!step}). *)
 
-val run_until : t -> stop:(unit -> bool) -> outcome option
-(** Like {!run}, but pause and return [None] as soon as [stop ()] holds
-    (checked before every step, after the step-limit check).  The arena
-    is left mid-run and can be driven further by {!step}, {!run} or
-    another [run_until] — or parked as a checkpoint and resumed later.
-    [Some outcome] means the run finished before [stop] fired.  Raises
-    like {!run} when fewer than [n] processes are spawned or the caller
-    does not own the arena. *)
-
 val step : t -> bool
 (** Execute a single adversary-chosen step.  Returns [false] when no
     process is runnable (all finished or crashed).

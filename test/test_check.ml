@@ -374,115 +374,90 @@ let test_consensus_corner_search () =
     stats.Explorer.exhausted
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint ladder: pure speed, bit-identical reports                *)
+(* Differential: Explorer reproduces the frozen Explorer_ref           *)
 (* ------------------------------------------------------------------ *)
 
-(* The ladder contract: Explorer with any ladder budget reproduces the
-   frozen pre-ladder Explorer_ref's full report — stats totals, the
-   exhausted flag, and the (shrunk) witness — on every registry
-   configuration.  [max_runs] keeps the unbounded consensus trees
-   finite, and the smaller bounds stop the DFS inside most trees,
-   exercising the bounded-stop path under every ladder setting. *)
-let test_ladder_vs_scratch_equivalence () =
+(* A skewed two-process tree: p0 going first kills the branching
+   instantly (it reads the flag's initial 0 and exits), while p1 going
+   first opens ~C(12,5) interleavings of the two write loops, so nearly
+   all runs sit under one deep prefix and backtracks keep landing deep
+   inside it. *)
+let skewed_setup sim =
+  let module Sim = Bprc_runtime.Sim in
+  let (module R) = Sim.runtime sim in
+  let flag = R.make_reg ~name:"flag" 0 in
+  let a = R.make_reg ~name:"a" 0 in
+  let b = R.make_reg ~name:"b" 0 in
+  ignore
+    (Sim.spawn sim (fun () ->
+         if R.read flag = 1 then
+           for k = 1 to 12 do
+             R.write a k
+           done));
+  ignore
+    (Sim.spawn sim (fun () ->
+         R.write flag 1;
+         for k = 1 to 4 do
+           R.write b k
+         done));
+  fun () -> Ok ()
+
+(* Explorer reproduces the frozen Explorer_ref's full report — stats
+   totals, the exhausted flag, and the (shrunk) witness — on every
+   registry configuration and on the skewed tree.  [max_runs] keeps the
+   unbounded consensus trees finite, and the smaller bounds stop the DFS
+   inside most trees, exercising the bounded-stop path. *)
+let test_matches_explorer_ref () =
+  let check_eq ~label ~n ~max_steps ~max_runs ~reduction ~setup =
+    let reference =
+      Explorer_ref.explore ~n ~max_steps ~max_runs ~reduction ~setup ()
+    in
+    let stats = Explorer.explore ~n ~max_steps ~max_runs ~reduction ~setup () in
+    Alcotest.(check int) (label ^ ": runs") reference.Explorer_ref.runs
+      stats.Explorer.runs;
+    Alcotest.(check int)
+      (label ^ ": pruned")
+      reference.Explorer_ref.pruned stats.Explorer.pruned;
+    Alcotest.(check int)
+      (label ^ ": step_limited")
+      reference.Explorer_ref.step_limited stats.Explorer.step_limited;
+    Alcotest.(check bool)
+      (label ^ ": exhausted")
+      reference.Explorer_ref.exhausted stats.Explorer.exhausted;
+    (match (reference.Explorer_ref.violation, stats.Explorer.violation) with
+    | None, None -> ()
+    | Some r, Some w ->
+      Alcotest.(check (list int))
+        (label ^ ": witness choices")
+        r.Explorer_ref.choices w.Explorer.choices;
+      Alcotest.(check (list bool))
+        (label ^ ": witness flips")
+        r.Explorer_ref.flips w.Explorer.flips;
+      Alcotest.(check string)
+        (label ^ ": witness failure")
+        r.Explorer_ref.failure w.Explorer.failure;
+      Alcotest.(check int)
+        (label ^ ": witness clock")
+        r.Explorer_ref.clock w.Explorer.clock
+    | Some _, None -> Alcotest.failf "%s: witness lost" label
+    | None, Some _ -> Alcotest.failf "%s: spurious witness" label);
+    stats
+  in
   List.iter
     (fun (cfg, max_runs) ->
-      let name = Printf.sprintf "%s max_runs=%d" cfg.Config.name max_runs in
-      let reference =
-        Explorer_ref.explore ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps
-          ~max_runs ~reduction:cfg.Config.reduction ~setup:cfg.Config.setup ()
-      in
-      let check_eq ~label (stats : Explorer.stats) =
-        Alcotest.(check int) (label ^ ": runs") reference.Explorer_ref.runs
-          stats.Explorer.runs;
-        Alcotest.(check int)
-          (label ^ ": pruned")
-          reference.Explorer_ref.pruned stats.Explorer.pruned;
-        Alcotest.(check int)
-          (label ^ ": step_limited")
-          reference.Explorer_ref.step_limited stats.Explorer.step_limited;
-        Alcotest.(check bool)
-          (label ^ ": exhausted")
-          reference.Explorer_ref.exhausted stats.Explorer.exhausted;
-        match (reference.Explorer_ref.violation, stats.Explorer.violation) with
-        | None, None -> ()
-        | Some r, Some w ->
-          Alcotest.(check (list int))
-            (label ^ ": witness choices")
-            r.Explorer_ref.choices w.Explorer.choices;
-          Alcotest.(check (list bool))
-            (label ^ ": witness flips")
-            r.Explorer_ref.flips w.Explorer.flips;
-          Alcotest.(check string)
-            (label ^ ": witness failure")
-            r.Explorer_ref.failure w.Explorer.failure;
-          Alcotest.(check int)
-            (label ^ ": witness clock")
-            r.Explorer_ref.clock w.Explorer.clock
-        | Some _, None -> Alcotest.failf "%s: witness lost" label
-        | None, Some _ -> Alcotest.failf "%s: spurious witness" label
-      in
-      List.iter
-        (fun ladder ->
-          check_eq
-            ~label:(Printf.sprintf "%s ladder=%d" name ladder)
-            (Explorer.explore ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps
-               ~max_runs ~reduction:cfg.Config.reduction ~ladder
-               ~setup:cfg.Config.setup ()))
-        [ 0; 1; 8 ])
+      ignore
+        (check_eq
+           ~label:(Printf.sprintf "%s max_runs=%d" cfg.Config.name max_runs)
+           ~n:cfg.Config.n ~max_steps:cfg.Config.max_steps ~max_runs
+           ~reduction:cfg.Config.reduction ~setup:cfg.Config.setup))
     (List.concat_map
        (fun cfg -> List.map (fun mr -> (cfg, mr)) [ 1; 7; 123; 1000; 1500 ])
-       Config.all)
-
-(* Rung regeneration under adversarial skew: p0 going first kills the
-   branching instantly (it reads the flag's initial 0 and exits), while
-   p1 going first opens ~C(12,5) interleavings of the two write loops,
-   so nearly all runs sit under one deep prefix.  Backtracks constantly
-   land below parked rungs, invalidating them and driving the lazy
-   move/fresh regeneration policy.  The global
-   counters must show both paths firing, and the report must still be
-   identical to a ladderless exploration. *)
-let test_skewed_ladder_regen () =
-  let module Sim = Bprc_runtime.Sim in
-  let setup sim =
-    let (module R) = Sim.runtime sim in
-    let flag = R.make_reg ~name:"flag" 0 in
-    let a = R.make_reg ~name:"a" 0 in
-    let b = R.make_reg ~name:"b" 0 in
-    ignore
-      (Sim.spawn sim (fun () ->
-           if R.read flag = 1 then
-             for k = 1 to 12 do
-               R.write a k
-             done));
-    ignore
-      (Sim.spawn sim (fun () ->
-           R.write flag 1;
-           for k = 1 to 4 do
-             R.write b k
-           done));
-    fun () -> Ok ()
+       Config.all);
+  let skewed =
+    check_eq ~label:"skewed" ~n:2 ~max_steps:256 ~max_runs:200_000
+      ~reduction:false ~setup:skewed_setup
   in
-  let explore ~ladder () =
-    Explorer.explore ~n:2 ~max_steps:256 ~reduction:false ~shrink:false ~ladder
-      ~setup ()
-  in
-  let off = explore ~ladder:0 () in
-  let resumes0, regens0 = Explorer.ladder_counters () in
-  let on_ = explore ~ladder:8 () in
-  let resumes1, regens1 = Explorer.ladder_counters () in
-  Alcotest.(check bool) "skewed tree exhausted" true on_.Explorer.exhausted;
-  Alcotest.(check int) "ladder does not change runs" off.Explorer.runs
-    on_.Explorer.runs;
-  Alcotest.(check int) "ladder does not change pruned" off.Explorer.pruned
-    on_.Explorer.pruned;
-  Alcotest.(check bool)
-    (Printf.sprintf "rungs were consumed (%d resumes)" (resumes1 - resumes0))
-    true
-    (resumes1 > resumes0);
-  Alcotest.(check bool)
-    (Printf.sprintf "rungs were regenerated (%d regens)" (regens1 - regens0))
-    true
-    (regens1 > regens0)
+  Alcotest.(check bool) "skewed tree exhausted" true skewed.Explorer.exhausted
 
 let suite =
   [
@@ -520,8 +495,6 @@ let suite =
       test_random_histories_linearizable;
     Alcotest.test_case "explore: consensus corner search" `Quick
       test_consensus_corner_search;
-    Alcotest.test_case "explore: ladder-vs-scratch equivalence" `Quick
-      test_ladder_vs_scratch_equivalence;
-    Alcotest.test_case "explore: skewed ladder regeneration" `Quick
-      test_skewed_ladder_regen;
+    Alcotest.test_case "explore: matches Explorer_ref" `Quick
+      test_matches_explorer_ref;
   ]
