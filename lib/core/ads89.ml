@@ -23,7 +23,12 @@ struct
     pref : bool option;
     current_coin : int;  (** pointer in [0..K] *)
     coins : int array;  (** K+1 bounded walk counters *)
-    edges : int array;  (** this process's row of the mod-3K counters *)
+    edges : int array;
+        (** this process's row of the mod-3K counters.  Never mutated
+            once published: [inc_fields] builds every new row as a
+            fresh array ([Edge_counters.inc_row_with]), so one physical
+            row array always holds the same counters, and [graph_into]
+            skips a row it adopted before by identity. *)
     ghost : int;
         (** checker-only ghost write counter: not part of the algorithm
             (nothing reads it) and excluded from the space accounting;
@@ -42,7 +47,20 @@ struct
      a fresh pair — decode is a pure function of the scanned view, so
      results are bit-identical and only the allocation profile
      differs. *)
-  type scratch = { s_ec : Ec.t; s_g : Dg.t }
+  type scratch = {
+    s_ec : Ec.t;
+    s_g : Dg.t;
+    s_rows : int array array;
+        (** [s_rows.(i)]: the row array last adopted into [s_ec] as
+            process [i]'s row ([[||]] before the first decode) *)
+  }
+
+  let new_scratch ~k =
+    {
+      s_ec = Ec.create ~k ~n:R.n;
+      s_g = Dg.create_scratch ~k ~n:R.n;
+      s_rows = Array.make R.n [||];
+    }
 
   type t = {
     k : int;
@@ -93,8 +111,7 @@ struct
       params;
       mem = Snap.create ~name ~init ();
       views = Array.init R.n (fun _ -> Array.make R.n init);
-      scratch =
-        { s_ec = Ec.create ~k ~n:R.n; s_g = Dg.create_scratch ~k ~n:R.n };
+      scratch = new_scratch ~k;
       scratch_busy = Atomic.make false;
       mode = coin_mode;
       oracle_seed;
@@ -134,18 +151,24 @@ struct
 
   let acquire t =
     if Atomic.compare_and_set t.scratch_busy false true then t.scratch
-    else
-      { s_ec = Ec.create ~k:t.k ~n:R.n; s_g = Dg.create_scratch ~k:t.k ~n:R.n }
+    else new_scratch ~k:t.k
 
   let release t scr =
     if scr == t.scratch then Atomic.set t.scratch_busy false
 
   (* Decode the scanned view into the scratch: rows into the counter
      matrix, counters into the distance graph.  Validation and error
-     messages are exactly the fresh [of_rows]/[to_graph] path's. *)
+     messages are exactly the fresh [of_rows]/[to_graph] path's.  A row
+     that is physically the array adopted last time holds the same
+     counters (published rows are never mutated, see [state.edges]), so
+     it is skipped without the n-counter compare of [Ec.set_row]. *)
   let graph_into scr view =
     for i = 0 to R.n - 1 do
-      Ec.set_row scr.s_ec i view.(i).edges
+      let r = view.(i).edges in
+      if r != Array.unsafe_get scr.s_rows i then begin
+        Ec.set_row scr.s_ec i r;
+        scr.s_rows.(i) <- r
+      end
     done;
     Ec.to_graph_into scr.s_ec scr.s_g;
     scr.s_g

@@ -49,12 +49,15 @@ module Make_over_snapshot
     (_ : Bprc_snapshot.Snapshot_intf.S) : Consensus_intf.S
 (** The protocol over another scannable-memory implementation.
 
-    {b Caution}: safety (consistency/validity) only needs P1–P3, but
-    liveness additionally needs scans whose views are current as of the
-    scan's {e end} — the handshake and {!Bprc_snapshot.Unbounded}
-    double-collect objects provide this, while the borrowed views of
-    {!Bprc_snapshot.Embedded} do not, and the protocol can livelock
-    over it (experiment E13; DESIGN.md interpretation note 8). *)
+    {b Caution}: P1–P3 do not make the protocol safe.  On rare
+    schedules a process decodes an inconsistent distance graph within
+    its first rounds, and the run then livelocks or violates agreement
+    — over the {!Bprc_snapshot.Embedded} snapshot (experiment E13),
+    over the {!Bprc_snapshot.Unbounded} double collect, and over the
+    paper's own handshake object ([bprc run -n 8 --seed 317480937]).
+    Scan freshness and the coin are ruled out; the suspect is the
+    reconstructed [inc_graph] guard (DESIGN.md interpretation notes 4
+    and 8, and §12). *)
 
 module Make (R : Bprc_runtime.Runtime_intf.S) : Consensus_intf.S
 (** The paper's configuration: the protocol over the §2 handshake

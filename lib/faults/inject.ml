@@ -129,48 +129,66 @@ let weaken_runtime (rt : (module Runtime_intf.S)) ~(plan : Fault_plan.t) :
 (* Process faults (crash / stall)                                      *)
 (* ------------------------------------------------------------------ *)
 
-type driver = { mutable pending : Fault_plan.fault list }
+(* A fault is due once its trigger holds: a [crash_at] entry at its
+   global clock, a [Crash]/[Stall] once its process has taken [at_step]
+   steps.  Everything due fires before the next step.  Between firings
+   the simulator runs in one [Sim.run] chunk up to the earliest clock
+   at which a pending fault could next be due: its own clock for a
+   [crash_at] entry, and [clock + at_step - steps_of pid] for a
+   per-process fault, since a process takes at most one step per clock
+   tick.  With nothing pending an instance is a single [Sim.run].  The
+   helpers are top-level functions so that a run allocates no
+   closures. *)
 
-let driver ~n (plan : Fault_plan.t) =
-  {
-    pending =
-      List.filter
-        (function
-          | Fault_plan.Crash { pid; _ } | Fault_plan.Stall { pid; _ } ->
-            pid >= 0 && pid < n
-          | _ -> false)
-        plan;
-  }
+let rec fire_crash_at sim clock = function
+  | (step, pid) :: rest when clock >= step ->
+    Sim.crash sim pid;
+    fire_crash_at sim clock rest
+  | pending -> pending
 
-let fire d sim =
-  if d.pending <> [] then
-    d.pending <-
-      List.filter
-        (fun f ->
-          match f with
-          | Fault_plan.Crash { pid; at_step } ->
-            if Sim.steps_of sim pid >= at_step then begin
-              Sim.crash sim pid;
-              false
-            end
-            else true
-          | Fault_plan.Stall { pid; at_step; steps } ->
-            if Sim.steps_of sim pid >= at_step then begin
-              Sim.stall sim pid ~steps;
-              false
-            end
-            else true
-          | _ -> false)
-        d.pending
+(* Fire the due plan faults and keep the rest, lowering [until] to the
+   earliest clock at which a kept one could be due.  A fault that can
+   never fire is dropped, so it does not cut the run into short chunks:
+   a link or weakening fault, a pid outside the arena, or a process
+   that crashed or finished before its trigger. *)
+let rec fire_faults sim clock until = function
+  | [] -> []
+  | (Fault_plan.Crash { pid; at_step } | Fault_plan.Stall { pid; at_step; _ })
+    as f
+    :: rest
+    when pid >= 0 && pid < Sim.n sim ->
+    let left = at_step - Sim.steps_of sim pid in
+    if left <= 0 then begin
+      (match f with
+      | Fault_plan.Stall { steps; _ } -> Sim.stall sim pid ~steps
+      | _ -> Sim.crash sim pid);
+      fire_faults sim clock until rest
+    end
+    else if Sim.crashed sim pid || Sim.finished sim pid then
+      fire_faults sim clock until rest
+    else begin
+      if clock + left < !until then until := clock + left;
+      f :: fire_faults sim clock until rest
+    end
+  | _ :: rest -> fire_faults sim clock until rest
 
-let drive sim ~driver ~max_steps =
-  let rec go () =
-    fire driver sim;
-    if Sim.clock sim >= max_steps then false
-    else if Sim.step sim then go ()
-    else true
+let rec run_faulted sim ~max_steps crash_at faults =
+  let clock = Sim.clock sim in
+  let crash_at = fire_crash_at sim clock crash_at in
+  let until =
+    ref (match crash_at with (step, _) :: _ -> step | [] -> max_steps)
   in
-  go ()
+  let faults = fire_faults sim clock until faults in
+  if clock >= max_steps then false
+  else
+    match Sim.run ~until:!until sim with
+    | Sim.Completed -> true
+    | Sim.Hit_step_limit -> run_faulted sim ~max_steps crash_at faults
+
+let drive ?(crash_at = []) sim ~plan ~max_steps =
+  run_faulted sim
+    ~max_steps:(min max_steps (Sim.max_steps sim))
+    (List.sort compare crash_at) plan
 
 (* ------------------------------------------------------------------ *)
 (* Link faults                                                         *)

@@ -6,8 +6,9 @@
       plan-targeted registers behave as regular or safe registers
       instead of atomic ones (registers are identified by allocation
       order, which is deterministic for a given algorithm and [n]);
-    - {!driver}/{!fire}/{!drive} fire [Crash] and [Stall] faults when
-      the targeted process reaches its trigger step count;
+    - {!drive} runs a simulator while firing [Crash] and [Stall]
+      faults when the targeted process reaches its trigger step count
+      (and global-clock crash points);
     - {!net_hook} compiles the plan's link faults into a
       {!Bprc_netsim.Netsim.Make.set_fault_hook} callback. *)
 
@@ -25,20 +26,25 @@ val weaken_runtime :
     the domain of a polymorphic register cannot be enumerated.
     [peek]/[poke] bypass weakening (checker-only). *)
 
-type driver
-(** Mutable firing state: each process fault fires at most once. *)
-
-val driver : n:int -> Fault_plan.t -> driver
-(** Faults naming pids outside [0, n) are ignored. *)
-
-val fire : driver -> Sim.t -> unit
-(** Fire every due fault: a [Crash {pid; at_step}]/[Stall {pid; ...}]
-    is due once [Sim.steps_of sim pid >= at_step].  Call between
-    steps. *)
-
-val drive : Sim.t -> driver:driver -> max_steps:int -> bool
-(** Step the simulator to completion, firing due faults before every
-    step.  Returns [false] if [max_steps] was reached first. *)
+val drive :
+  ?crash_at:(int * int) list ->
+  Sim.t ->
+  plan:Fault_plan.t ->
+  max_steps:int ->
+  bool
+(** Run the spawned simulator to completion, firing process faults
+    between steps: each [(clock, pid)] of [crash_at] crashes [pid] once
+    the global clock reaches [clock], and a [Crash {pid; at_step}] or
+    [Stall {pid; at_step; _}] of [plan] fires once
+    [Sim.steps_of sim pid >= at_step].  Every fault that is due fires
+    before the next step, so two [crash_at] entries at one clock stop
+    both processes before either steps again.  Plan faults naming
+    pids outside [0, n), and every link or [Weaken] fault, are
+    ignored.  The run is bit-identical to stepping the simulator one
+    step at a time and firing due faults before each step, but goes
+    through {!Sim.run} in chunks that end only where a fault could be
+    due.  [max_steps] is clamped to the arena's {!Sim.max_steps}.
+    Returns [false] if the clock reached [max_steps] first. *)
 
 val net_hook :
   Fault_plan.t -> nth:int -> src:int -> dst:int -> Bprc_netsim.Netsim.fault_action

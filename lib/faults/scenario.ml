@@ -85,8 +85,7 @@ let consensus_exec ~n ~seed ~plan ~mode =
   let handles =
     Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
   in
-  let driver = Inject.driver ~n plan in
-  let completed = Inject.drive sim ~driver ~max_steps:consensus_max_steps in
+  let completed = Inject.drive sim ~plan ~max_steps:consensus_max_steps in
   let decisions = Array.map Sim.result handles in
   let failure =
     match Bprc_core.Spec.check ~inputs ~decisions with
@@ -140,8 +139,7 @@ let snapshot_exec ~n ~seed ~plan ~mode =
                ~view
            done))
   done;
-  let driver = Inject.driver ~n plan in
-  let completed = Inject.drive sim ~driver ~max_steps:snapshot_max_steps in
+  let completed = Inject.drive sim ~plan ~max_steps:snapshot_max_steps in
   let failure =
     match Bprc_snapshot.Snap_checker.check_all checker with
     | Error e -> Some ("snapshot: " ^ e)

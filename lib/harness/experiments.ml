@@ -817,14 +817,13 @@ let e13_snapshot_ablation ?(quick = false) ?pool () =
     ~notes:
       [
         Printf.sprintf "n = %d, random scheduler, random inputs." n;
-        "Finding: P1-P3 alone are NOT sufficient for the protocol's";
-        "liveness.  The handshake and plain double-collect scans return";
-        "views current as of the scan's END; the embedded-scan object's";
-        "borrowed views are linearized EARLIER in the scan interval —";
-        "legal for P1-P3, but the edge-counter advance can then act on";
-        "information stale enough to wedge the distance graph into a";
-        "positive cycle (safety is unharmed; a process may stop making";
-        "round progress).  See DESIGN.md, interpretation note 8.";
+        "Finding: P1-P3 do NOT make the protocol safe or live.  On rare";
+        "schedules the edge-counter advance wedges the decoded distance";
+        "graph into an inconsistent state; a process may then stop making";
+        "round progress, or two processes decide differently.  It happens";
+        "over every memory here, the handshake included, so scan";
+        "freshness is not the cause; the suspect is the inc_graph guard.";
+        "See DESIGN.md, interpretation note 8.";
       ]
     rows
 

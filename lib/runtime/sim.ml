@@ -403,16 +403,22 @@ let step t =
   check_owner t "step";
   step_inline t
 
-let run t =
+(* One owner check per call, not per step: a driver that must act
+   between steps at known clocks (the fault injector) runs the
+   simulator in chunks up to the next such clock instead of stepping
+   it one [step] at a time. *)
+let rec run_to t until =
+  if t.clock >= until then Hit_step_limit
+  else if step_inline t then run_to t until
+  else Completed
+
+let run ?until t =
   check_owner t "run";
   if t.spawned < t.n then
     invalid_arg "Sim.run: fewer processes spawned than n";
-  let rec go () =
-    if t.clock >= t.max_steps then Hit_step_limit
-    else if step_inline t then go ()
-    else Completed
-  in
-  go ()
+  match until with
+  | Some u when u < t.max_steps -> run_to t u
+  | _ -> run_to t t.max_steps
 
 let spawn t f =
   if t.spawned >= t.n then invalid_arg "Sim.spawn: already spawned n processes";

@@ -89,11 +89,17 @@ val spawn : t -> (unit -> 'a) -> 'a handle
     Must be called exactly [n] times before {!run}.
     @raise Invalid_argument when more than [n] processes are spawned. *)
 
-val run : t -> outcome
+val run : ?until:int -> t -> outcome
 (** Drive steps until every process finished/crashed or the step limit
-    is hit.  @raise Invalid_argument if fewer than [n] processes were
-    spawned, or when called from a domain other than the arena's owner
-    (see {!step}). *)
+    is hit.  [until] lowers the limit for this call to a global clock
+    value (clamped to [max_steps]; at or below the current clock no
+    step is taken): the call returns [Hit_step_limit] once {!clock}
+    reaches it, and a later [run] continues the same run exactly as if
+    it had not stopped.  Running in such chunks is how a caller acts
+    between steps at known clocks without paying the per-step
+    {!step} path.  @raise Invalid_argument if fewer than [n] processes
+    were spawned, or when called from a domain other than the arena's
+    owner (see {!step}). *)
 
 val step : t -> bool
 (** Execute a single adversary-chosen step.  Returns [false] when no

@@ -90,8 +90,15 @@ module Make (R : Bprc_runtime.Runtime_intf.S) = struct
       for j = 0 to n - 1 do
         if j <> me then begin
           if R.read t.arrows.((me * n) + j) then dirty := true;
+          (* Cells are immutable and [write] publishes a fresh one, so
+             two physically equal cells are structurally equal: skip
+             [<>], which walks the whole value (ADS89's state and its
+             arrays) even then.  Only values not equal to themselves
+             differ (NaN; closures, on which [<>] raises), and on those
+             the structural test retried forever or raised. *)
           let a = v1.(j) and b = v2.(j) in
-          if a.toggle <> b.toggle || a.value <> b.value then dirty := true
+          if a != b && (a.toggle <> b.toggle || a.value <> b.value) then
+            dirty := true
         end
       done;
       if !dirty then begin

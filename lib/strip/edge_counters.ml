@@ -45,10 +45,12 @@ let of_rows ~k rows =
 (* In-place adoption of scanned rows: the validation and the stored
    matrix are exactly [of_rows]'s (same error messages on bad input),
    minus the fresh allocation — one scratch [t] per protocol instance
-   absorbs a view per scan.  Contents, not array identity, decide
-   whether a row changed: a published row array may be mutated later,
-   and an unchanged prefix needs no validation because the stored
-   entries are already in range. *)
+   absorbs a view per scan.  Contents decide whether a row changed,
+   because this module cannot know whether a caller's arrays are ever
+   mutated; an unchanged prefix needs no validation because the stored
+   entries are already in range.  A caller that never mutates a row it
+   handed over may skip the call for a row it passed last time (ADS89's
+   [graph_into] does, by physical equality). *)
 let set_row t i (r : int array) =
   if i < 0 || i >= t.nn then invalid_arg "Edge_counters.set_row: no such row";
   let n = t.nn in

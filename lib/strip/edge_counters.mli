@@ -37,7 +37,10 @@ val set_row : t -> int -> int array -> unit
     holding per-process row arrays fill the scratch without assembling
     a row matrix first.  The row's contents are compared with the
     stored row; only a row that differs is validated and copied, and
-    makes the next {!to_graph_into} decode.
+    makes the next {!to_graph_into} decode.  The row is copied, never
+    kept: a caller that never mutates an array after passing it may
+    skip passing the same physical array again, since the stored row
+    still equals it.
     @raise Invalid_argument on a bad row index, length or entry. *)
 
 val k : t -> int

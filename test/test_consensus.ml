@@ -15,22 +15,7 @@ let run_ads89 ?(max_steps = 3_000_000) ?params ?coin_mode ?(oracle_seed = 0)
   let handles =
     Array.init n (fun i -> Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
   in
-  (* Drive manually so crashes can be injected at given global steps. *)
-  let crash_at = List.sort compare crash_at in
-  let pending = ref crash_at in
-  let completed =
-    let rec go () =
-      (match !pending with
-      | (step, pid) :: rest when Sim.clock sim >= step ->
-        Sim.crash sim pid;
-        pending := rest
-      | _ -> ());
-      if Sim.clock sim >= max_steps then false
-      else if Sim.step sim then go ()
-      else true
-    in
-    go ()
-  in
+  let completed = Bprc_faults.Inject.drive ~crash_at sim ~plan:[] ~max_steps in
   {
     completed;
     decisions = Array.map Sim.result handles;
@@ -424,6 +409,67 @@ let test_par_consensus_soak () =
       Alcotest.(check bool) "par validity (false)" false first
   done
 
+(* --- Row identity skip ------------------------------------------------ *)
+
+(* The handshake snapshot with every scanned value deep-copied after the
+   scan: the register operations are the handshake's own, so schedules
+   are unchanged, but no row array in a view is ever physically the one
+   a previous decode adopted, and [graph_into]'s identity skip never
+   fires. *)
+module Copying_handshake (R : Runtime_intf.S) = struct
+  module H = Bprc_snapshot.Handshake.Make (R)
+  include H
+
+  let copy v = Marshal.from_string (Marshal.to_string v []) 0
+
+  let scan_into t out =
+    H.scan_into t out;
+    Array.iteri (fun i v -> out.(i) <- copy v) out
+
+  let scan t = Array.map copy (H.scan t)
+end
+
+(* ADS89 over the handshake against ADS89 over [Copying_handshake]:
+   the same steps, per-process step counts, decisions and scan counts,
+   so skipping a row by identity decodes exactly what comparing its
+   counters does.  A future change that mutates a published row in
+   place makes the skip decode a stale row, and this diverges. *)
+let test_row_identity_skip_exact () =
+  let max_steps = 60_000 in
+  let run n seed
+      (over : (module Runtime_intf.S) -> (module Consensus_intf.S)) =
+    let sim =
+      Sim.create ~seed ~max_steps ~n ~adversary:(Adversary.random ()) ()
+    in
+    let (module C) = over (Sim.runtime sim) in
+    let t = C.create () in
+    let inputs = mixed_inputs n seed in
+    let handles =
+      Array.init n (fun i ->
+          Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
+    in
+    let outcome = Sim.run sim in
+    ( outcome,
+      Sim.clock sim,
+      List.init n (Sim.steps_of sim),
+      Array.map Sim.result handles,
+      (C.stats t).Ads89.scans )
+  in
+  let plain rt : (module Consensus_intf.S) =
+    let (module R : Runtime_intf.S) = rt in
+    (module Ads89.Make (R))
+  in
+  let copying rt : (module Consensus_intf.S) =
+    let (module R : Runtime_intf.S) = rt in
+    (module Ads89.Make_over_snapshot (R) (Copying_handshake (R)))
+  in
+  for n = 3 to 8 do
+    for seed = 1 to 200 do
+      if run n seed plain <> run n seed copying then
+        Alcotest.failf "n=%d seed %d: row identity skip changed the run" n seed
+    done
+  done
+
 let extra_suite =
   [
     Alcotest.test_case "snapshot ablation (unbounded)" `Quick
@@ -431,6 +477,8 @@ let extra_suite =
     Alcotest.test_case "explored schedules (DFS)" `Slow
       test_consensus_explored_schedules;
     Alcotest.test_case "par: consensus soak" `Quick test_par_consensus_soak;
+    Alcotest.test_case "row identity skip = full compare" `Quick
+      test_row_identity_skip_exact;
   ]
 
 let suite = suite @ extra_suite

@@ -369,6 +369,159 @@ let test_consensus_once_crash () =
   Alcotest.(check bool) "completes despite crash" true r.Run.completed;
   Alcotest.(check bool) "spec holds" true (r.Run.spec = Ok ())
 
+(* Two [crash_at] entries at one clock stop both processes before
+   either steps again: no step of pid 0 or 1 lands after clock [s].  A
+   driver that fired one entry per step let pid 1 take step [s + 1]
+   whenever the adversary picked it there, so the test sweeps [s]. *)
+let test_consensus_once_same_clock_crashes () =
+  let n = 4 and max_steps = 400_000 in
+  let sim =
+    Bprc_runtime.Sim.create ~max_steps ~record_trace:true ~n
+      ~adversary:(Bprc_runtime.Adversary.random ()) ()
+  in
+  for s = 20 to 60 do
+    let r =
+      Run.consensus_once ~sim ~max_steps ~crash_at:[ (s, 0); (s, 1) ]
+        ~algo:(Run.Ads Bprc_core.Ads89.Shared_walk) ~pattern:Run.Random_inputs
+        ~n ~seed:3 ()
+    in
+    let events =
+      Bprc_runtime.Trace.to_list (Option.get (Bprc_runtime.Sim.trace sim))
+    in
+    List.iter
+      (fun (e : Bprc_runtime.Trace.event) ->
+        if (e.pid = 0 || e.pid = 1) && e.time > s then
+          Alcotest.failf "crash_at (%d,0),(%d,1): pid %d stepped at %d" s s
+            e.pid e.time)
+      events;
+    Alcotest.(check bool)
+      (Printf.sprintf "s=%d: survivors decide" s)
+      true
+      (r.Run.completed && r.Run.decisions.(2) <> None
+     && r.Run.decisions.(3) <> None)
+  done
+
+(* The per-step loop the chunked [Inject.drive] replaced, kept as its
+   oracle: before every single [Sim.step], crash every [crash_at] entry
+   whose clock has come and fire every plan fault whose process has
+   reached its trigger step. *)
+let drive_per_step sim ~crash_at ~plan ~max_steps =
+  let module Sim = Bprc_runtime.Sim in
+  let module F = Bprc_faults.Fault_plan in
+  let n = Sim.n sim in
+  let pending = ref (List.sort compare crash_at) in
+  let faults = ref plan in
+  let rec go () =
+    let rec crash_due () =
+      match !pending with
+      | (step, pid) :: rest when Sim.clock sim >= step ->
+        Sim.crash sim pid;
+        pending := rest;
+        crash_due ()
+      | _ -> ()
+    in
+    crash_due ();
+    faults :=
+      List.filter
+        (fun f ->
+          match f with
+          | F.Crash { pid; at_step } when pid >= 0 && pid < n ->
+            if Sim.steps_of sim pid >= at_step then begin
+              Sim.crash sim pid;
+              false
+            end
+            else true
+          | F.Stall { pid; at_step; steps } when pid >= 0 && pid < n ->
+            if Sim.steps_of sim pid >= at_step then begin
+              Sim.stall sim pid ~steps;
+              false
+            end
+            else true
+          | _ -> false)
+        !faults;
+    if Sim.clock sim >= max_steps then false
+    else if Sim.step sim then go ()
+    else true
+  in
+  go ()
+
+(* [Run.consensus_once] (through the chunked driver) against the same
+   instance driven by [drive_per_step]: identical steps, per-process
+   step counts, decisions and full traces, across seeds, crash points
+   (including two at one clock and one at clock 0) and crash/stall
+   plans (including overlapping stalls, a fault at step 0, a pid out of
+   range, and faults aimed at a process already crashed), both for
+   runs that finish and runs cut off by [max_steps]. *)
+let test_fault_driver_matches_per_step () =
+  let module Sim = Bprc_runtime.Sim in
+  let module F = Bprc_faults.Fault_plan in
+  let n = 4 in
+  let crash_lists =
+    [ []; [ (50, 0) ]; [ (30, 1); (30, 2) ]; [ (0, 3); (200, 1) ] ]
+  in
+  let plans =
+    [
+      [];
+      [ F.Crash { pid = 1; at_step = 40 } ];
+      [ F.Stall { pid = 0; at_step = 5; steps = 300 };
+        F.Crash { pid = 2; at_step = 100 } ];
+      [ F.Stall { pid = 3; at_step = 0; steps = 50 };
+        F.Stall { pid = 3; at_step = 20; steps = 500 } ];
+      [ F.Crash { pid = 7; at_step = 3 }; F.Crash { pid = 0; at_step = 0 } ];
+    ]
+  in
+  let fingerprint sim completed decisions =
+    ( completed,
+      Sim.clock sim,
+      decisions,
+      List.init n (Sim.steps_of sim),
+      Bprc_runtime.Trace.to_list (Option.get (Sim.trace sim)) )
+  in
+  List.iter
+    (fun max_steps ->
+      let arena =
+        Sim.create ~max_steps ~record_trace:true ~n
+          ~adversary:(Bprc_runtime.Adversary.random ()) ()
+      in
+      for seed = 1 to 4 do
+        List.iter
+          (fun crash_at ->
+            List.iter
+              (fun plan ->
+                let r =
+                  Run.consensus_once ~sim:arena ~max_steps ~crash_at
+                    ~faults:plan ~algo:(Run.Ads Bprc_core.Ads89.Shared_walk)
+                    ~pattern:Run.Random_inputs ~n ~seed ()
+                in
+                let got = fingerprint arena r.Run.completed r.Run.decisions in
+                let sim =
+                  Sim.create ~seed ~max_steps ~record_trace:true ~n
+                    ~adversary:(Bprc_runtime.Adversary.random ()) ()
+                in
+                let module C = Bprc_core.Ads89.Make ((val Sim.runtime sim)) in
+                let t = C.create ~oracle_seed:seed () in
+                let inputs =
+                  Run.inputs_of_pattern Run.Random_inputs ~n ~seed
+                in
+                let handles =
+                  Array.init n (fun i ->
+                      Sim.spawn sim (fun () -> C.run t ~input:inputs.(i)))
+                in
+                let completed = drive_per_step sim ~crash_at ~plan ~max_steps in
+                let want =
+                  fingerprint sim completed (Array.map Sim.result handles)
+                in
+                if got <> want then
+                  Alcotest.failf
+                    "max_steps %d seed %d crash_at #%d plan #%d: chunked \
+                     driver diverges from the per-step loop"
+                    max_steps seed
+                    (List.length crash_at) (List.length plan))
+              plans)
+          crash_lists
+      done)
+    [ 400_000; 2_000 ]
+
 (* ------------------------------------------------------------------ *)
 (* Experiments (smoke at tiny sizes)                                   *)
 (* ------------------------------------------------------------------ *)
@@ -467,6 +620,10 @@ let suite =
     Alcotest.test_case "run: consensus all schedulers" `Quick
       test_consensus_once_all_scheds;
     Alcotest.test_case "run: crash injection" `Quick test_consensus_once_crash;
+    Alcotest.test_case "run: same-clock crashes fire together" `Quick
+      test_consensus_once_same_clock_crashes;
+    Alcotest.test_case "run: fault driver = per-step loop" `Quick
+      test_fault_driver_matches_per_step;
     Alcotest.test_case "experiments: registry" `Quick test_experiments_registry;
     Alcotest.test_case "experiments: tables well-formed" `Slow
       test_experiment_tables_well_formed;

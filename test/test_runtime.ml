@@ -882,3 +882,133 @@ let owner_suite =
   ]
 
 let suite = suite @ owner_suite
+
+(* --- Sim.run ~until: chunked runs ------------------------------------ *)
+
+(* Spawn a mixed read/write/flip/yield workload on a trace-recording
+   arena, let [drive] run it, and fingerprint everything observable:
+   results, clock, per-process step and flip counts, and the trace. *)
+let until_fingerprint ~seed ~max_steps drive =
+  let n = 3 in
+  let sim =
+    Sim.create ~seed ~max_steps ~record_trace:true ~n
+      ~adversary:(Adversary.random ()) ()
+  in
+  let (module R : Runtime_intf.S) = Sim.runtime sim in
+  let a = R.make_reg ~name:"a" 0 in
+  let handles =
+    Array.init n (fun i ->
+        Sim.spawn sim (fun () ->
+            let acc = ref 0 in
+            for _ = 1 to 20 do
+              R.write a (R.read a + i + 1);
+              if R.flip () then R.yield ();
+              acc := !acc + R.read a
+            done;
+            !acc))
+  in
+  let outcome = drive sim in
+  ( outcome,
+    Array.map Sim.result handles,
+    Sim.clock sim,
+    List.init n (fun i -> (Sim.steps_of sim i, Sim.flips_of sim i)),
+    Trace.to_list (Option.get (Sim.trace sim)) )
+
+let test_run_until_chunks_match_one_run () =
+  (* Whole runs (about 200 steps) and runs cut off by [max_steps]. *)
+  List.iter
+    (fun max_steps ->
+      for seed = 0 to 9 do
+        let whole = until_fingerprint ~seed ~max_steps Sim.run in
+        List.iter
+          (fun chunk ->
+            let chunked =
+              until_fingerprint ~seed ~max_steps (fun sim ->
+                  let rec go () =
+                    match Sim.run ~until:(Sim.clock sim + chunk) sim with
+                    | Sim.Completed -> Sim.Completed
+                    | Sim.Hit_step_limit ->
+                      if Sim.clock sim >= max_steps then Sim.Hit_step_limit
+                      else go ()
+                  in
+                  go ())
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "max_steps %d seed %d chunk %d = one run"
+                 max_steps seed chunk)
+              true (whole = chunked))
+          [ 1; 2; 7; 64 ]
+      done)
+    [ 10_000_000; 57 ]
+
+let test_run_until_bounds () =
+  let sim = Sim.create ~seed:1 ~max_steps:30 ~n:2 ~adversary:(Adversary.round_robin ()) () in
+  let (module R : Runtime_intf.S) = Sim.runtime sim in
+  let r = R.make_reg 0 in
+  for _ = 1 to 2 do
+    ignore
+      (Sim.spawn sim (fun () ->
+           for _ = 1 to 100 do
+             R.write r (R.read r + 1)
+           done))
+  done;
+  let outcome = Sim.run ~until:10 sim in
+  Alcotest.(check bool) "chunk ends at until" true
+    (outcome = Sim.Hit_step_limit && Sim.clock sim = 10);
+  List.iter
+    (fun until ->
+      let outcome = Sim.run ~until sim in
+      Alcotest.(check bool)
+        (Printf.sprintf "until %d <= clock: no step" until)
+        true
+        (outcome = Sim.Hit_step_limit && Sim.clock sim = 10))
+    [ 10; 3; 0; -5 ];
+  let outcome = Sim.run ~until:1_000 sim in
+  Alcotest.(check bool) "until past max_steps clamps to max_steps" true
+    (outcome = Sim.Hit_step_limit && Sim.clock sim = 30)
+
+(* The chunk boundary costs one call, not one allocation per step: the
+   raw step loop under 1000-step chunks stays at the simulator's 2 minor
+   words per step (the throughput bench's raw-sim ceiling). *)
+let test_run_until_alloc () =
+  let n = 4 and iters = 20_000 in
+  let sim =
+    Sim.create ~seed:1 ~n ~adversary:(Adversary.round_robin ()) ()
+  in
+  let (module R : Runtime_intf.S) = Sim.runtime sim in
+  for i = 0 to n - 1 do
+    let r = R.make_reg ~name:(Printf.sprintf "r%d" i) 0 in
+    ignore
+      (Sim.spawn sim (fun () ->
+           for k = 1 to iters do
+             R.write r k;
+             ignore (R.read r)
+           done))
+  done;
+  (* Warm-up chunk: starts every fiber. *)
+  ignore (Sim.run ~until:1_000 sim);
+  Gc.full_major ();
+  let c0 = Sim.clock sim in
+  let m0 = Gc.minor_words () in
+  let rec go () =
+    match Sim.run ~until:(Sim.clock sim + 1_000) sim with
+    | Sim.Completed -> ()
+    | Sim.Hit_step_limit -> go ()
+  in
+  go ();
+  let per = (Gc.minor_words () -. m0) /. float_of_int (Sim.clock sim - c0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "chunked run: %.3f minor words/step <= 2.01" per)
+    true (per <= 2.01)
+
+let until_suite =
+  [
+    Alcotest.test_case "run ~until: chunks = one run" `Quick
+      test_run_until_chunks_match_one_run;
+    Alcotest.test_case "run ~until: clamp and no-op bounds" `Quick
+      test_run_until_bounds;
+    Alcotest.test_case "run ~until: 2 words/step in chunks" `Quick
+      test_run_until_alloc;
+  ]
+
+let suite = suite @ until_suite

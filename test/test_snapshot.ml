@@ -649,19 +649,19 @@ let suite = suite @ embedded_suite
    recorded traces — any divergence in schedule, register naming or
    access order shows up as a trace mismatch long before a wrong view
    would. *)
-let run_handshake_workload make_snap ~n ~rounds ~seed =
+let run_handshake_workload make_snap ~init ~value ~n ~rounds ~seed =
   let sim =
     Sim.create ~seed ~n ~record_trace:true ~adversary:(Adversary.random ()) ()
   in
   let rt = Sim.runtime sim in
   let (module S : SNAP) = make_snap rt in
-  let mem = S.create ~init:0 () in
+  let mem = S.create ~init () in
   let views = ref [] in
   for p = 0 to n - 1 do
     ignore
       (Sim.spawn sim (fun () ->
            for k = 1 to rounds do
-             S.write mem ((k * n) + p);
+             S.write mem (value ~n ~k ~p);
              views := (p, k, S.scan mem) :: !views
            done))
   done;
@@ -679,7 +679,28 @@ let handshake_ref_of rt : (module SNAP) =
   let (module R : Runtime_intf.S) = rt in
   (module Handshake_ref.Make (R) : SNAP)
 
-let test_diff_handshake_lockstep () =
+(* Values shaped like ADS89's state: an option plus int arrays.  The
+   flat handshake skips its structural compare when both collects read
+   the same physical cell, so the differential also writes values that
+   are structurally equal but physically fresh (consecutive [k] share
+   [coins] contents), and values that share one physical array across
+   writes ([edges] of every writer at a given [k / 3]) — the cases
+   where physical and structural equality part ways. *)
+type shaped = { pref : bool option; coins : int array; edges : int array }
+
+let shared_edges = Array.init 64 (fun i -> Array.make 3 i)
+
+let shaped_value ~n:_ ~k ~p =
+  {
+    pref = (if k mod 3 = 0 then None else Some ((k + p) mod 2 = 0));
+    coins = Array.make 2 (k / 2);
+    edges = shared_edges.((k / 3) mod 64);
+  }
+
+let shaped_init = { pref = None; coins = [| 0; 0 |]; edges = shared_edges.(0) }
+let int_value ~n ~k ~p = (k * n) + p
+
+let diff_handshake_lockstep ~init ~value =
   (* n = 32, rounds = 2 alone is 10k+ simulated register accesses; the
      smaller widths add breadth across seeds. *)
   let configs =
@@ -688,9 +709,11 @@ let test_diff_handshake_lockstep () =
   List.iter
     (fun (n, rounds, seeds) ->
       for seed = 1 to seeds do
-        let vf, rf, cf, tf = run_handshake_workload handshake_of ~n ~rounds ~seed in
+        let vf, rf, cf, tf =
+          run_handshake_workload handshake_of ~init ~value ~n ~rounds ~seed
+        in
         let vr, rr, cr, tr =
-          run_handshake_workload handshake_ref_of ~n ~rounds ~seed
+          run_handshake_workload handshake_ref_of ~init ~value ~n ~rounds ~seed
         in
         if cf <> cr then
           Alcotest.failf "n=%d seed %d: step counts differ (%d vs %d)" n seed
@@ -704,7 +727,11 @@ let test_diff_handshake_lockstep () =
       done)
     configs
 
-let test_diff_handshake_saturated () =
+let test_diff_handshake_lockstep () =
+  diff_handshake_lockstep ~init:0 ~value:int_value;
+  diff_handshake_lockstep ~init:shaped_init ~value:shaped_value
+
+let diff_handshake_saturated ~init ~value =
   (* Writer-heavy asymmetric load: one process scans while the rest
      write continuously — the retry/starvation regime, where the scan
      loop's buffer reuse is actually exercised. *)
@@ -718,14 +745,14 @@ let test_diff_handshake_saturated () =
         in
         let rt = Sim.runtime sim in
         let (module S : SNAP) = make_snap rt in
-        let mem = S.create ~init:0 () in
+        let mem = S.create ~init () in
         let got = ref [||] in
         ignore (Sim.spawn sim (fun () -> got := S.scan mem));
         for p = 1 to n - 1 do
           ignore
             (Sim.spawn sim (fun () ->
                  for k = 1 to 2000 do
-                   S.write mem ((k * n) + p)
+                   S.write mem (value ~n ~k ~p)
                  done))
         done;
         ignore (Sim.run sim);
@@ -742,6 +769,10 @@ let test_diff_handshake_saturated () =
         Alcotest.failf "saturated seed %d: outcome differs" seed;
       if tf <> tr then Alcotest.failf "saturated seed %d: traces differ" seed)
     [ 1; 2; 3; 4; 5 ]
+
+let test_diff_handshake_saturated () =
+  diff_handshake_saturated ~init:0 ~value:int_value;
+  diff_handshake_saturated ~init:shaped_init ~value:shaped_value
 
 let suite =
   suite
